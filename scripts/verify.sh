@@ -4,6 +4,8 @@
 #
 #   scripts/verify.sh            # tier-1 + TSan + ASan/UBSan
 #   scripts/verify.sh --tier1    # tier-1 only (what CI gates on)
+#   scripts/verify.sh --stress   # the concurrency suites, 50 repeats each,
+#                                # pinned to one core and then unpinned
 #
 # Tier-1 runs every ctest case until it fails, up to 10 times, so a flake
 # that shows up one run in a few fails the gate instead of slipping by.
@@ -20,6 +22,25 @@ cd "$(dirname "$0")/.."
 JOBS=${JOBS:-$(nproc)}
 TIER1_ONLY=0
 [[ "${1:-}" == "--tier1" ]] && TIER1_ONLY=1
+
+if [[ "${1:-}" == "--stress" ]]; then
+  # Interleavings a single run rarely hits: one core is where posting-thread
+  # socket writes and the sender thread interleave worst (every handoff is a
+  # preemption); all cores is where they truly overlap.
+  STRESS_SUITES=(net_socket_test net_routing_test core_object_test
+                 core_property_test)
+  cmake -B build -S . >/dev/null
+  cmake --build build -j "$JOBS" --target "${STRESS_SUITES[@]}"
+  for pin in "taskset -c 0" ""; do
+    for t in "${STRESS_SUITES[@]}"; do
+      echo "-- [${pin:-all cores}] $t x50"
+      $pin "build/tests/$t" --gtest_repeat=50 --gtest_brief=1 || {
+        echo "verify: stress ${pin:-all cores}/$t FAILED"; exit 1; }
+    done
+  done
+  echo "verify: stress OK"
+  exit 0
+fi
 
 # A source file that .gitignore hides never reaches a clean checkout (that
 # is how src/core/buffer.{h,cpp} went missing once), so refuse to pass while

@@ -324,6 +324,7 @@ std::shared_ptr<CallState> Node::start_call(NodeId target,
   const auto now = std::chrono::steady_clock::now();
   auto overall = std::chrono::steady_clock::time_point::max();
   if (opts.deadline.count() > 0) overall = now + opts.deadline;
+  bool wake_timer = false;
   {
     std::scoped_lock lock(mu_);
     Pending p;
@@ -345,9 +346,12 @@ std::shared_ptr<CallState> Node::start_call(NodeId target,
     pending_.emplace(req_id, std::move(p));
     if (due != std::chrono::steady_clock::time_point::max()) {
       timers_.push(TimerEntry{due, req_id});
+      // The retry thread sleeps until the earliest timer; only a new
+      // earliest one moves its wakeup. Calls without a timer never wake it.
+      wake_timer = timers_.top().req_id == req_id;
     }
   }
-  timer_cv_.notify_all();
+  if (wake_timer) timer_cv_.notify_all();
   post_frame(target, std::move(payload));
   return state;
 }

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <utility>
 
 #include "core/error.h"
 #include "support/log.h"
@@ -37,33 +38,41 @@ void close_fd(int& fd) {
   }
 }
 
-/// Writes every iovec fully, advancing across partial writes. Returns false
-/// on a dead connection. MSG_NOSIGNAL: a peer closing mid-write must surface
-/// as EPIPE, not kill the process.
-bool send_all(int fd, std::vector<iovec>& iov) {
-  std::size_t idx = 0;
+/// Consumes `n` bytes from the front of iov[idx..], advancing idx.
+void advance_iov(std::vector<iovec>& iov, std::size_t& idx, std::size_t n) {
+  while (n > 0) {
+    if (iov[idx].iov_len <= n) {
+      n -= iov[idx].iov_len;
+      ++idx;
+    } else {
+      iov[idx].iov_base = static_cast<char*>(iov[idx].iov_base) + n;
+      iov[idx].iov_len -= n;
+      n = 0;
+    }
+  }
+}
+
+/// Writes iov[idx..] until it is all written or, with MSG_DONTWAIT in
+/// `flags`, the socket buffer is full; advances idx across partial writes.
+/// Returns the bytes written, or -1 on a dead connection. MSG_NOSIGNAL: a
+/// peer closing mid-write must surface as EPIPE, not kill the process.
+ssize_t send_iov(int fd, std::vector<iovec>& iov, std::size_t& idx,
+                 int flags) {
+  std::size_t total = 0;
   while (idx < iov.size()) {
     msghdr msg{};
     msg.msg_iov = iov.data() + idx;
     msg.msg_iovlen = std::min(iov.size() - idx, kIovBatch);
-    ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    const ssize_t n = ::sendmsg(fd, &msg, flags | MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return false;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+      return -1;
     }
-    auto advanced = static_cast<std::size_t>(n);
-    while (advanced > 0) {
-      if (iov[idx].iov_len <= advanced) {
-        advanced -= iov[idx].iov_len;
-        ++idx;
-      } else {
-        iov[idx].iov_base = static_cast<char*>(iov[idx].iov_base) + advanced;
-        iov[idx].iov_len -= advanced;
-        advanced = 0;
-      }
-    }
+    total += static_cast<std::size_t>(n);
+    advance_iov(iov, idx, static_cast<std::size_t>(n));
   }
-  return true;
+  return static_cast<ssize_t>(total);
 }
 
 sockaddr_un make_unix_addr(const std::string& path) {
@@ -295,7 +304,7 @@ bool SocketTransport::remove_peer(NodeId id) {
   {
     std::scoped_lock lock(link->mu);
     link->removed = true;
-    close_fd(link->fd);
+    drop_connection_locked(*link);
     link->cv.notify_all();
   }
   if (link->sender.joinable()) {
@@ -374,9 +383,34 @@ void SocketTransport::enqueue(NodeId dst, FrameBuilder frame) {
   bool lost = false;
   bool dropped = false;
   {
-    std::scoped_lock lock(link->mu);
+    std::unique_lock lock(link->mu);
     if (link->removed) {
       dropped = true;  // racing eviction: same as "dst unknown"
+    } else if (link->fd >= 0 && !link->sending && link->queue.empty() &&
+               !link->severed && !link->unreachable) {
+      // Idle link: this thread writes the frame itself, sparing the sender
+      // thread a wakeup. MSG_DONTWAIT keeps post() non-blocking — servers
+      // post responses from the manager thread, inside on_complete.
+      link->sending = true;
+      const int fd = link->fd;
+      std::size_t written = 0;
+      lock.unlock();
+      const WriteResult result = write_frame(fd, frame, written, MSG_DONTWAIT);
+      lock.lock();
+      end_write_locked(*link);
+      if (result == WriteResult::kPartial && link->fd == fd) {
+        // Socket buffer full: the sender finishes the tail, ahead of
+        // anything queued behind this write.
+        link->queue.push_front(std::move(frame));
+        link->queue_bytes += bytes;
+        link->front_written = written;
+        link->cv.notify_all();
+      } else if (result != WriteResult::kDone) {
+        requeue_failed_locked(*link, fd, std::move(frame), /*stopping=*/false);
+      } else if (!link->queue.empty() || link->quiescent_waiters > 0) {
+        // Frames queued behind this write, or wait_quiescent is watching.
+        link->cv.notify_all();
+      }
     } else if (link->queue.size() >= options_.max_queued_per_peer) {
       lost = true;
     } else if ((link->severed || link->unreachable) &&
@@ -399,8 +433,11 @@ void SocketTransport::enqueue(NodeId dst, FrameBuilder frame) {
         PeerLink* raw = link.get();
         link->sender = std::jthread(
             [this, raw](std::stop_token st) { sender_loop(st, raw); });
+      } else if (!link->sending) {
+        // While a write is in flight its writer picks the queue up instead:
+        // the sender loops on, a posting thread notifies when it finishes.
+        link->cv.notify_all();
       }
-      link->cv.notify_all();
     }
   }
   if (dropped) {
@@ -460,6 +497,7 @@ bool SocketTransport::connect_locked(PeerLink& link) {
     return false;
   }
   link.fd = fd;
+  link.front_written = 0;  // a torn frame replays whole on a new stream
   link.unreachable = false;
   link.backoff = std::chrono::milliseconds(0);
   return true;
@@ -494,30 +532,81 @@ void SocketTransport::park_and_trim_locked(PeerLink& link) {
   link.cv.notify_all();  // wait_quiescent: parked, not draining
 }
 
-bool SocketTransport::send_frame(int fd, const FrameBuilder& frame) {
+void SocketTransport::drop_connection_locked(PeerLink& link) {
+  if (link.fd < 0) return;
+  if (link.sending) {
+    ::shutdown(link.fd, SHUT_RDWR);
+    link.retired_fd = link.fd;
+    link.fd = -1;
+  } else {
+    close_fd(link.fd);
+  }
+}
+
+void SocketTransport::end_write_locked(PeerLink& link) {
+  link.sending = false;
+  close_fd(link.retired_fd);
+}
+
+void SocketTransport::requeue_failed_locked(PeerLink& link, int fd,
+                                            FrameBuilder frame,
+                                            bool stopping) {
+  // The connection died under this frame (possibly mid-frame — the peer's
+  // reassembler drops the torn tail with the connection).
+  if (link.fd == fd) drop_connection_locked(link);
+  if (link.removed || link.severed || stopping) {
+    // The frame was already off the queue, so neither remove_peer's drain
+    // nor the severed park can see it — counting it here is its only loss
+    // accounting.
+    count_lost(1, frame.size());
+    return;
+  }
+  // Front-requeue, then trim: the requeued frame re-enters the parked queue
+  // *before* the budget check, so whether it survives or is tail-dropped it
+  // is owned by exactly one accounting path (replay, or trim's count_lost) —
+  // never both, never neither. The backoff paces a peer that accepts and
+  // immediately dies.
+  link.queue_bytes += frame.size();
+  link.queue.push_front(std::move(frame));
+  link.front_written = 0;
+  arm_backoff_locked(link);
+  park_and_trim_locked(link);
+}
+
+SocketTransport::WriteResult SocketTransport::write_frame(
+    int fd, const FrameBuilder& frame, std::size_t& written, int flags) {
   // Stream chunk = 12-byte header + the frame's scatter segments, handed to
   // sendmsg as one iovec list: the writev path. No contiguous frame is ever
   // assembled on this side of the kernel boundary.
   std::uint8_t header[kStreamHeaderBytes];
   encode_stream_header(options_.local_node, frame.size(), header);
-  std::vector<FrameBuilder::Segment> segments;
+  // Per-thread scratch: every posting thread writes frames now, so the two
+  // lists are reused instead of allocated per frame.
+  thread_local std::vector<FrameBuilder::Segment> segments;
+  thread_local std::vector<iovec> iov;
+  segments.clear();
   frame.segments(segments);
-  std::vector<iovec> iov;
-  iov.reserve(segments.size() + 1);
+  iov.clear();
   iov.push_back(iovec{header, sizeof(header)});
   for (const auto& s : segments) {
     iov.push_back(iovec{const_cast<void*>(s.data), s.size});
   }
-  if (!send_all(fd, iov)) return false;
+  std::size_t idx = 0;
+  advance_iov(iov, idx, written);  // a tail resumes where the last write ended
+  const ssize_t n = send_iov(fd, iov, idx, flags);
+  if (n < 0) return WriteResult::kFailed;
+  written += static_cast<std::size_t>(n);
+  if (idx < iov.size()) return WriteResult::kPartial;
   frame.note_sent_scattered();
-  return true;
+  return WriteResult::kDone;
 }
 
 bool SocketTransport::send_hello(int fd) {
   std::vector<iovec> iov;
   iov.push_back(iovec{const_cast<std::uint8_t*>(hello_bytes_.data()),
                       hello_bytes_.size()});
-  return send_all(fd, iov);
+  std::size_t idx = 0;
+  return send_iov(fd, iov, idx, 0) >= 0;  // blocking: all or an error
 }
 
 void SocketTransport::sender_loop(const std::stop_token& st, PeerLink* link) {
@@ -541,6 +630,12 @@ void SocketTransport::sender_loop(const std::stop_token& st, PeerLink* link) {
       link->cv.wait(lock, [&] {
         return st.stop_requested() || link->removed || !link->queue.empty();
       });
+      continue;
+    }
+    if (link->sending) {
+      // A posting thread is writing directly; what queued behind it goes
+      // out after its frame.
+      link->cv.wait(lock, [&] { return link->removed || !link->sending; });
       continue;
     }
     if (link->severed) {
@@ -578,12 +673,15 @@ void SocketTransport::sender_loop(const std::stop_token& st, PeerLink* link) {
         park_and_trim_locked(*link);
         continue;
       }
-      // Fresh connection: our HELLO goes first, before any frame. A failure
-      // here is a connect failure — close and back off.
+      // Fresh connection: our HELLO goes first, before any frame — holding
+      // `sending` keeps posting threads off the stream until it is out. A
+      // failure here is a connect failure — close and back off.
       const int fd = link->fd;
+      link->sending = true;
       lock.unlock();
       const bool hello_ok = send_hello(fd);
       lock.lock();
+      end_write_locked(*link);
       if (!hello_ok) {
         if (link->fd == fd) close_fd(link->fd);
         arm_backoff_locked(*link);
@@ -596,40 +694,24 @@ void SocketTransport::sender_loop(const std::stop_token& st, PeerLink* link) {
         std::scoped_lock slock(mu_);
         stats_.frames_requeued += survived;
       }
+      continue;  // re-check: a cut or eviction may have landed meanwhile
     }
+    // Next queued frame — or the tail of one a posting thread could not
+    // finish without blocking. Blocking writes are fine on this thread.
     FrameBuilder frame = std::move(link->queue.front());
     link->queue.pop_front();
-    const std::size_t frame_bytes = frame.size();
-    link->queue_bytes -= frame_bytes;
+    link->queue_bytes -= frame.size();
+    std::size_t written = std::exchange(link->front_written, 0);
     link->sending = true;
     const int fd = link->fd;
     lock.unlock();
-    const bool ok = send_frame(fd, frame);
+    const bool ok = write_frame(fd, frame, written, 0) == WriteResult::kDone;
     lock.lock();
-    link->sending = false;
+    end_write_locked(*link);
     if (!ok) {
-      // The connection died under this frame (possibly mid-frame — the
-      // peer's reassembler drops the torn tail with the connection). Requeue
-      // it at the front so replay preserves posted order; the backoff paces
-      // a peer that accepts and immediately dies.
-      if (link->fd == fd) close_fd(link->fd);
-      if (link->removed || link->severed || st.stop_requested()) {
-        // The in-flight frame was already popped, so neither remove_peer's
-        // drain nor the severed park can see it — counting it here is its
-        // only loss accounting.
-        count_lost(1, frame_bytes);
-      } else {
-        // Front-requeue, then trim: the requeued frame re-enters the parked
-        // queue *before* the budget check, so whether it survives or is
-        // tail-dropped it is owned by exactly one accounting path (replay,
-        // or trim's count_lost) — never both, never neither.
-        link->queue.push_front(std::move(frame));
-        link->queue_bytes += frame_bytes;
-        arm_backoff_locked(*link);
-        park_and_trim_locked(*link);
-      }
+      requeue_failed_locked(*link, fd, std::move(frame), st.stop_requested());
     }
-    link->cv.notify_all();  // wait_quiescent
+    if (link->quiescent_waiters > 0) link->cv.notify_all();
   }
 }
 
@@ -705,12 +787,42 @@ void SocketTransport::poison_inbound(Inbound& conn, const std::string& why) {
 void SocketTransport::reader_loop(const std::stop_token& st,
                                   std::shared_ptr<Inbound> conn) {
   support::set_current_thread_name("net/recv");
+  read_stream(st, *conn);
+  {
+    std::scoped_lock lock(mu_);
+    conn->finished = true;
+  }
+  inbound_cv_.notify_all();
+}
+
+void SocketTransport::await_older_streams(const std::stop_token& st,
+                                          const Inbound& conn) {
+  const NodeId peer = conn.peer.load(std::memory_order_relaxed);
+  const auto older_live = [&] {
+    for (const auto& other : inbound_) {
+      if (other.get() == &conn) return false;  // the rest are newer
+      // An older stream still in its handshake may be this peer's too.
+      if (!other->finished &&
+          (!other->authed.load(std::memory_order_acquire) ||
+           other->peer.load(std::memory_order_relaxed) == peer)) {
+        return true;
+      }
+    }
+    return false;
+  };
+  std::unique_lock lock(mu_);
+  inbound_cv_.wait_for(lock, options_.connect_timeout, [&] {
+    return st.stop_requested() || !older_live();
+  });
+}
+
+void SocketTransport::read_stream(const std::stop_token& st, Inbound& conn) {
   HelloReader hello;
   std::shared_ptr<PeerLink> peer_link;  // cached after the handshake
   StreamReassembler reassembler;
   std::vector<std::uint8_t> chunk(kReadChunk);
   while (!st.stop_requested()) {
-    const ssize_t n = ::read(conn->fd, chunk.data(), chunk.size());
+    const ssize_t n = ::read(conn.fd, chunk.data(), chunk.size());
     if (n == 0) return;  // peer closed; a torn frame dies with the stream
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -718,25 +830,26 @@ void SocketTransport::reader_loop(const std::stop_token& st,
     }
     const std::uint8_t* data = chunk.data();
     std::size_t remaining = static_cast<std::size_t>(n);
-    if (!conn->authed.load(std::memory_order_relaxed)) {
+    if (!conn.authed.load(std::memory_order_relaxed)) {
       // Handshake phase: nothing reaches the reassembler until a valid
       // HELLO has been consumed — an impostor never delivers a frame.
       bool complete = false;
       try {
         complete = hello.feed(data, remaining);
       } catch (const Error& e) {
-        reject_inbound(*conn, std::string("bad hello: ") + e.what());
+        reject_inbound(conn, std::string("bad hello: ") + e.what());
         return;
       }
       if (!complete) continue;
       std::string why;
       if (!validate_hello(hello.hello(), &why)) {
-        reject_inbound(*conn, why);
+        reject_inbound(conn, why);
         return;
       }
       peer_link = find_link(hello.hello().node);
-      conn->peer.store(hello.hello().node, std::memory_order_relaxed);
-      conn->authed.store(true, std::memory_order_release);
+      conn.peer.store(hello.hello().node, std::memory_order_relaxed);
+      conn.authed.store(true, std::memory_order_release);
+      await_older_streams(st, conn);
       if (remaining == 0) continue;
     }
     try {
@@ -745,14 +858,14 @@ void SocketTransport::reader_loop(const std::stop_token& st,
       // Framing is unrecoverable on a byte stream: drop the connection. The
       // peer reconnects (replaying its queue) and the retry layer re-posts
       // what mattered.
-      poison_inbound(*conn, e.what());
+      poison_inbound(conn, e.what());
       return;
     }
     while (auto msg = reassembler.next()) {
-      const NodeId claimed = conn->peer.load(std::memory_order_relaxed);
+      const NodeId claimed = conn.peer.load(std::memory_order_relaxed);
       if (msg->src != claimed) {
         // A stream may only speak for the node its HELLO claimed.
-        poison_inbound(*conn, "frame src " + std::to_string(msg->src) +
+        poison_inbound(conn, "frame src " + std::to_string(msg->src) +
                                   " does not match handshaken node " +
                                   std::to_string(claimed));
         return;
@@ -776,7 +889,7 @@ void SocketTransport::reader_loop(const std::stop_token& st,
         // Evicted mid-stream (remove_peer race backstop): the rest of this
         // connection is part of the departure.
         count_lost(1, msg->payload.size());
-        if (conn->fd >= 0) ::shutdown(conn->fd, SHUT_RDWR);
+        if (conn.fd >= 0) ::shutdown(conn.fd, SHUT_RDWR);
         return;
       }
       if (severed) {
@@ -824,7 +937,7 @@ void SocketTransport::sever(NodeId peer) {
     std::scoped_lock lock(link->mu);
     link->severed = true;
     if (!link->queue.empty()) link->replaying = true;
-    close_fd(link->fd);
+    drop_connection_locked(*link);
     link->cv.notify_all();
   }
   // Inbound side of the cut: close streams the peer already has open.
@@ -855,7 +968,7 @@ void SocketTransport::disconnect(NodeId peer) {
   auto link = find_link(peer);
   if (!link) return;
   std::scoped_lock lock(link->mu);
-  close_fd(link->fd);
+  drop_connection_locked(*link);
   link->cv.notify_all();
 }
 
@@ -898,12 +1011,14 @@ void SocketTransport::wait_quiescent() const {
   }
   for (const auto& link : links) {
     std::unique_lock lock(link->mu);
+    ++link->quiescent_waiters;
     link->cv.wait(lock, [&] {
       // Parked frames (sever / backoff) count as quiescent: nothing is
       // moving until the peer comes back.
       return (link->queue.empty() && !link->sending) || link->severed ||
              link->unreachable || link->removed;
     });
+    --link->quiescent_waiters;
   }
 }
 

@@ -41,13 +41,25 @@
 //     frames until restore replays them; is_partitioned() reports the cut
 //     so RPC failures are typed kPartitioned. ~SocketTransport tears down
 //     every connection after a best-effort drain of queued frames.
+//   * A reconnecting peer's new stream delivers only after its previous
+//     stream has drained — and any older stream still in its handshake,
+//     which may be that peer's too — bounded by connect_timeout, so frames
+//     written before a reconnect are not overtaken by frames written after.
 //
-// Zero-copy send path. post(src, dst, FrameBuilder) never builds the frame:
-// the sender thread hands the builder's scatter-gather segment list to
-// sendmsg() (writev semantics) behind the 12-byte stream header, so the
-// data plane's `bytes_assembled` counter stays at zero for every frame this
-// transport sends — the slices' single remaining copy happens inside the
-// kernel, on the way to the wire.
+// Send path. The thread that calls post() writes the frame itself when the
+// link is idle (connected, nothing queued, no write in flight): one
+// non-blocking sendmsg() of the 12-byte stream header plus the
+// FrameBuilder's scatter-gather segments (writev semantics). post() never
+// blocks: a short write or EAGAIN puts the frame back at the queue front
+// with its written-byte offset, and the sender thread finishes the tail.
+// Frames posted while a write is in flight queue behind it. The sender
+// thread owns everything else: connecting, the HELLO, backoff, replay of
+// parked frames, and tails. One `sending` flag makes the two writers
+// mutually exclusive, so the stream stays in posted order. A frame torn by
+// a dying connection replays whole on the next one. Either way no
+// contiguous frame is built: the data plane's `bytes_assembled` counter
+// stays at zero for every frame this transport sends — the slices' single
+// remaining copy happens inside the kernel, on the way to the wire.
 #pragma once
 
 #include <atomic>
@@ -140,8 +152,9 @@ class SocketTransport final : public Transport {
   void set_handler(NodeId node, Handler handler) override;
 
   void post(Frame frame) override;
-  /// Scatter-gather post: queued in builder form; the sender thread writes
-  /// the segment list directly (sendmsg), never assembling the frame.
+  /// Scatter-gather post: the segment list goes to sendmsg as-is, never
+  /// assembled — written on this thread when the link is idle, else queued
+  /// in builder form for the sender thread. Never blocks.
   void post(NodeId src, NodeId dst, const FrameBuilder& frame) override;
 
   TransportStats transport_stats() const override;
@@ -196,9 +209,19 @@ class SocketTransport final : public Transport {
     std::condition_variable cv;
     std::deque<FrameBuilder> queue;
     std::size_t queue_bytes = 0;  ///< payload bytes across `queue`
+    /// Stream bytes (header included) of queue.front() already written on
+    /// the current connection; a fresh connection resets it to 0.
+    std::size_t front_written = 0;
     int fd = -1;
+    /// A connection dropped while a write was in flight: shut down, but its
+    /// number is kept open until the writer finishes, so it cannot be
+    /// reused under that writer's sendmsg.
+    int retired_fd = -1;
     bool severed = false;
-    bool sending = false;       ///< a frame is between pop and wire
+    /// One writer at a time — a posting thread or the sender — owns the
+    /// stream between taking a frame and the wire.
+    bool sending = false;
+    int quiescent_waiters = 0;  ///< wait_quiescent callers blocked on cv
     bool unreachable = false;   ///< last connect round failed (in backoff)
     bool removed = false;       ///< evicted by remove_peer; terminal
     bool replaying = false;     ///< queue survived a dead connection
@@ -216,11 +239,20 @@ class SocketTransport final : public Transport {
     /// remove_peer scan these from other threads while the reader runs.
     std::atomic<NodeId> peer{0};
     std::atomic<bool> authed{false};
+    bool finished = false;  ///< reader has exited; guarded by mu_
     std::jthread reader;
   };
 
   void listen_loop(const std::stop_token& st);
   void reader_loop(const std::stop_token& st, std::shared_ptr<Inbound> conn);
+  /// Receive loop of one connection; reader_loop wraps it to mark the
+  /// connection finished on every exit path.
+  void read_stream(const std::stop_token& st, Inbound& conn);
+  /// Holds a freshly authed connection until older connections from the
+  /// same peer, or still in their handshake, have drained (at most
+  /// connect_timeout): a reconnect must not overtake frames still buffered
+  /// on the stream it replaced.
+  void await_older_streams(const std::stop_token& st, const Inbound& conn);
   void sender_loop(const std::stop_token& st, PeerLink* link);
   /// Connects link->fd (non-blocking + poll timeout). Returns false and
   /// arms the backoff on failure. Caller holds link->mu.
@@ -231,6 +263,20 @@ class SocketTransport final : public Transport {
   /// Tail-drops frames past the retransmit budget, counting them lost.
   /// Caller holds link.mu.
   void trim_queue_locked(PeerLink& link);
+  /// Closes the link's connection. While a write is in flight the fd is
+  /// only shut down (waking a blocked sendmsg) and closed by end_write.
+  /// Caller holds link.mu.
+  void drop_connection_locked(PeerLink& link);
+  /// Releases `sending` and closes a connection retired meanwhile. Caller
+  /// holds link.mu.
+  void end_write_locked(PeerLink& link);
+  /// A write on `fd` failed, or was cut short by the connection going away:
+  /// `frame` (already off the queue) goes back to the front to replay whole
+  /// on the next connection, behind a backoff — or is counted lost when the
+  /// link is severed, evicted or stopping. Shared by the sender and the
+  /// posting-thread write. Caller holds link.mu.
+  void requeue_failed_locked(PeerLink& link, int fd, FrameBuilder frame,
+                             bool stopping);
   /// Parks the queue for in-order replay after a blip (cut, failed connect
   /// round, or a connection dying mid-send) and trims it to the retransmit
   /// budget. The single choke point for "parked then dropped": a parked
@@ -238,8 +284,12 @@ class SocketTransport final : public Transport {
   /// drain, or remove_peer — each of which counts it lost exactly once.
   /// Caller holds link.mu.
   void park_and_trim_locked(PeerLink& link);
-  /// Sends one frame over the link's fd as header + scatter segments.
-  bool send_frame(int fd, const FrameBuilder& frame);
+  enum class WriteResult { kDone, kPartial, kFailed };
+  /// Writes one frame over `fd` as header + scatter segments, starting at
+  /// stream byte `written` and advancing it. `flags` adds MSG_DONTWAIT for
+  /// the posting thread; kPartial means the socket buffer filled first.
+  WriteResult write_frame(int fd, const FrameBuilder& frame,
+                          std::size_t& written, int flags);
   /// Writes our HELLO as the first bytes of a fresh connection.
   bool send_hello(int fd);
   /// Allowlist check: version, token, claimed node known and not us.
@@ -273,7 +323,8 @@ class SocketTransport final : public Transport {
   std::unordered_map<NodeId, std::shared_ptr<PeerLink>> links_;
   std::unordered_map<NodeId, std::string> peer_names_;
 
-  std::vector<std::shared_ptr<Inbound>> inbound_;
+  std::vector<std::shared_ptr<Inbound>> inbound_;  ///< accept order
+  std::condition_variable inbound_cv_;  ///< an Inbound finished (under mu_)
 
   int listen_fd_ = -1;
   std::uint16_t bound_port_ = 0;

@@ -125,6 +125,14 @@ TEST(NetFailure, CancelledCallFailsTypedAndLateResponseIsDropped) {
   auto rb = b.result();
   ASSERT_TRUE(rb.ok());
   EXPECT_EQ(rb.value()[0].as_int(), 32);
+  // A and B run concurrently on the unmanaged object, so under load B's
+  // response can overtake A's: wait for A's to arrive.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (rig.client.client_stats().stale_responses < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   EXPECT_GE(rig.client.client_stats().stale_responses, 1u)
       << "the cancelled call's response must be dropped, not matched";
 }

@@ -732,5 +732,194 @@ TEST(SocketTransport, FrameAccountingConservesAcrossBudgetSeverAndEviction) {
       << "conservation across sever + eviction + post-removal drop";
 }
 
+// ---- send path: posting-thread writes + sender-thread tails ----------------
+
+/// Frame `i` of the stalled-reader test: 64 KB, index in the first 4 bytes,
+/// then a pattern that a torn, shifted or reordered tail would break.
+std::vector<std::uint8_t> big_frame(std::uint32_t i) {
+  std::vector<std::uint8_t> f(64 * 1024);
+  std::memcpy(f.data(), &i, sizeof(i));
+  for (std::size_t j = sizeof(i); j < f.size(); ++j) {
+    f[j] = static_cast<std::uint8_t>(i * 31 + j);
+  }
+  return f;
+}
+
+TEST(SocketTransport, PostNeverBlocksAgainstAStalledReader) {
+  // The posting thread writes with MSG_DONTWAIT: once the socket buffer is
+  // full, a short write or EAGAIN hands the tail to the sender thread and
+  // post() returns. A peer that accepts and never reads must not stall the
+  // poster — servers post from inside on_complete on the manager thread.
+  SocketPaths paths("stall");
+  const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  const std::string path = paths.node(2);
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listener, 4), 0);
+
+  SocketTransport ta(uds_options(paths, 1, {1, 2}));
+  ta.add_node("a");
+  ta.post(Frame{1, 2, big_frame(0)});  // starts the sender, which connects
+  const int fd = ::accept(listener, nullptr, nullptr);
+  ASSERT_GE(fd, 0);
+
+  // More than the send buffer holds: at least one write comes up short.
+  int sndbuf = 0;
+  socklen_t len = sizeof(sndbuf);
+  ASSERT_EQ(::getsockopt(fd, SOL_SOCKET, SO_SNDBUF, &sndbuf, &len), 0);
+  const std::uint32_t total =
+      static_cast<std::uint32_t>(4 * sndbuf / (64 * 1024)) + 8;
+
+  // The peer starts reading when told to — or after 10 s, so a post that
+  // does block fails the timing check below instead of hanging the suite.
+  support::Event go;
+  std::vector<std::vector<std::uint8_t>> got;
+  std::thread peer([&] {
+    go.wait_for(10s);
+    HelloReader hello;
+    StreamReassembler reassembler;
+    std::vector<std::uint8_t> chunk(64 * 1024);
+    struct timeval tv{30, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    while (got.size() < total) {
+      const ssize_t n = ::read(fd, chunk.data(), chunk.size());
+      if (n <= 0) return;
+      const std::uint8_t* data = chunk.data();
+      std::size_t remaining = static_cast<std::size_t>(n);
+      try {
+        if (!hello.done() && !hello.feed(data, remaining)) continue;
+        reassembler.feed(data, remaining);
+      } catch (const Error& e) {
+        ADD_FAILURE() << "corrupt stream: " << e.what();
+        return;
+      }
+      while (auto msg = reassembler.next()) {
+        got.emplace_back(msg->payload.data(),
+                         msg->payload.data() + msg->payload.size());
+      }
+    }
+  });
+
+  auto slowest = std::chrono::steady_clock::duration::zero();
+  for (std::uint32_t i = 1; i < total; ++i) {
+    auto frame = big_frame(i);
+    const auto t0 = std::chrono::steady_clock::now();
+    ta.post(Frame{1, 2, std::move(frame)});
+    slowest = std::max(slowest, std::chrono::steady_clock::now() - t0);
+  }
+  go.set();
+  peer.join();
+  ::close(fd);
+  ::close(listener);
+
+  EXPECT_LT(slowest, 1s) << "post() blocked on a full socket buffer";
+  ASSERT_EQ(got.size(), total);
+  for (std::uint32_t i = 0; i < total; ++i) {
+    EXPECT_EQ(got[i], big_frame(i)) << "frame " << i << " torn or reordered";
+  }
+  ta.wait_quiescent();
+  EXPECT_EQ(ta.transport_stats().frames_lost, 0u);
+}
+
+TEST(SocketTransport, ConcurrentPostersKeepFifoAcrossBothWritePaths) {
+  // Four posters race the posting-thread write against the sender-thread
+  // queue while sever/restore and disconnect churn the connection. Each
+  // poster's frames must arrive in its own order (gaps only where a frame
+  // was counted lost), and every frame is accounted exactly once.
+  SocketPaths paths("fifo");
+  auto a_opts = uds_options(paths, 1, {1, 2});
+  a_opts.connect_backoff_initial = 1ms;
+  a_opts.connect_backoff_max = 5ms;
+  SocketTransport ta(a_opts);
+  SocketTransport tb(uds_options(paths, 2, {1, 2}));
+  ta.add_node("a");
+  tb.add_node("b");
+  FrameSink sink;
+  tb.set_handler(2, sink.handler());
+
+  // Connected first, so the churn below races live writes, not the first
+  // connect.
+  sink.want = 1;
+  ta.post(Frame{1, 2, {0xff}});
+  ASSERT_TRUE(sink.reached.wait_for(30s));
+
+  constexpr int kPosters = 4;
+  constexpr int kChurnRounds = 60;
+  std::atomic<bool> churning{true};
+  std::vector<std::uint32_t> posted(kPosters, 0);
+  std::vector<std::thread> posters;
+  for (int t = 0; t < kPosters; ++t) {
+    posters.emplace_back([&, t] {
+      // At least 1000 frames each, and keep posting until the churn ends.
+      for (std::uint32_t seq = 0; seq < 1000 || churning.load(); ++seq) {
+        std::vector<std::uint8_t> f(1 + sizeof(seq));
+        f[0] = static_cast<std::uint8_t>(t);
+        std::memcpy(f.data() + 1, &seq, sizeof(seq));
+        ta.post(Frame{1, 2, std::move(f)});
+        posted[t] = seq + 1;
+        if (seq % 16 == 15) std::this_thread::sleep_for(20us);
+      }
+    });
+  }
+  std::thread churn([&] {
+    for (int round = 0; round < kChurnRounds; ++round) {
+      std::this_thread::sleep_for(200us);
+      if (round % 2 == 0) {
+        ta.sever(2);
+        std::this_thread::sleep_for(100us);
+        ta.restore(2);
+      } else {
+        ta.disconnect(2);
+      }
+    }
+    churning.store(false);
+  });
+  for (auto& p : posters) p.join();
+  churn.join();
+  ta.restore(2);
+  ta.wait_quiescent();
+
+  // wait_quiescent treats a link in backoff as parked, so poll until every
+  // frame is delivered or counted.
+  const auto deadline = std::chrono::steady_clock::now() + 30s;
+  for (;;) {
+    const auto a = ta.transport_stats();
+    const auto b = tb.transport_stats();
+    if (a.frames_posted == b.frames_delivered + a.frames_lost +
+                               a.frames_dropped) {
+      break;
+    }
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "posted " << a.frames_posted << " delivered "
+        << b.frames_delivered << " lost " << a.frames_lost;
+    std::this_thread::sleep_for(1ms);
+  }
+  ta.wait_quiescent();
+  tb.wait_quiescent();
+  const auto a = ta.transport_stats();
+  std::uint64_t total = 1;  // the warm-up frame
+  for (auto n : posted) total += n;
+  EXPECT_EQ(a.frames_posted, total);
+  EXPECT_EQ(a.frames_dropped, 0u);
+
+  std::scoped_lock lock(sink.mu);
+  EXPECT_EQ(sink.got.size() + a.frames_lost, a.frames_posted);
+  std::vector<std::int64_t> last(kPosters, -1);
+  for (std::size_t i = 1; i < sink.got.size(); ++i) {
+    const auto& f = sink.got[i];
+    ASSERT_EQ(f.size(), 1 + sizeof(std::uint32_t));
+    ASSERT_LT(f[0], kPosters);
+    std::uint32_t seq = 0;
+    std::memcpy(&seq, f.data() + 1, sizeof(seq));
+    ASSERT_GT(static_cast<std::int64_t>(seq), last[f[0]])
+        << "poster " << int{f[0]} << " frames reordered or duplicated";
+    last[f[0]] = seq;
+  }
+}
+
 }  // namespace
 }  // namespace alps::net
