@@ -125,7 +125,6 @@ void BM_RpcBatchedPayload(benchmark::State& state) {
     // The byte bound exists to cap link burstiness; here it must never
     // pre-empt the frame bound or the batch-size sweep measures flushes.
     options.max_bytes = std::size_t{1} << 30;
-    options.flush_interval = std::chrono::microseconds(50);
     client.set_batching(options);
     server.set_batching(options);
   }

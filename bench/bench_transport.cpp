@@ -208,7 +208,6 @@ void BM_TransportBatched(benchmark::State& state) {
     net::BatchOptions options;
     options.max_frames = static_cast<std::size_t>(window);
     options.max_bytes = std::size_t{1} << 30;  // frame bound decides flushes
-    options.flush_interval = std::chrono::microseconds(50);
     rig.client->set_batching(options);
     rig.server->set_batching(options);
   }

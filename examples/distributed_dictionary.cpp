@@ -991,7 +991,7 @@ int run_sim_demo() {
   // cluster directory, so nobody needs to know which node it lives on
   // (location transparency, DESIGN.md §4.7). Frame batching coalesces the
   // burst of requests/responses on each link.
-  client_a.set_batching({});  // defaults: flush at 8 frames or 200 µs
+  client_a.set_batching({});  // defaults: envelopes of up to 8 frames
   client_b.set_batching({});
   server.set_batching({});
   auto remote_dict_a = client_a.remote("Dictionary");

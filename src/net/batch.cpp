@@ -1,48 +1,76 @@
 #include "net/batch.h"
 
+#include <iterator>
+
 #include "net/codec.h"
-#include "support/thread_util.h"
 
 namespace alps::net {
 
-FrameBatcher::FrameBatcher(BatchOptions options, PostFn post)
-    : options_(options), post_(std::move(post)) {
+FrameBatcher::FrameBatcher(BatchOptions options, PostFn post, BusyFn busy)
+    : options_(options), post_(std::move(post)), busy_(std::move(busy)) {
   if (options_.max_frames == 0) options_.max_frames = 1;
-  flusher_thread_ =
-      std::jthread([this](std::stop_token st) { flusher(st); });
 }
 
 FrameBatcher::~FrameBatcher() {
-  flusher_thread_.request_stop();
-  {
-    // Empty critical section: the flusher tests stop_requested() under mu_
-    // before it waits, so the notify below cannot be lost in between.
-    std::scoped_lock lock(mu_);
-  }
-  cv_.notify_all();
-  if (flusher_thread_.joinable()) flusher_thread_.join();
   flush_all();  // residue goes out, late but never lost at this layer
 }
 
-void FrameBatcher::collect_locked(NodeId dst, LinkBuffer& buf,
-                                  std::vector<Flush>& out) {
-  if (buf.members.empty()) return;
-  if (buf.members.size() == 1) {
-    out.emplace_back(dst, std::move(buf.members.front()));
-    ++stats_.singles_posted;
-  } else {
-    // One envelope, still in scatter-gather form: member headers splice into
-    // the envelope's arena, member payload slices stay referenced. Whether
-    // the members' bytes ever hit contiguous memory is the transport's call
-    // (the sim builds once at post; a socket writes the segments directly).
-    FrameBuilder envelope;
-    encode_batch(buf.members, envelope);
-    stats_.frames_coalesced += buf.members.size();
-    ++stats_.batches_posted;
-    out.emplace_back(dst, std::move(envelope));
+FrameBuilder FrameBatcher::take_locked(LinkBuffer& buf) {
+  // Up to max_frames members and max_bytes, but always at least one.
+  std::size_t n = 0;
+  std::size_t bytes = 0;
+  while (n < buf.members.size() && n < options_.max_frames &&
+         (n == 0 || bytes + buf.members[n].size() <= options_.max_bytes)) {
+    bytes += buf.members[n].size();
+    ++n;
   }
-  buf.members.clear();
-  buf.bytes = 0;
+  buf.bytes -= bytes;
+  buffered_ -= n;
+  if (n == 1) {
+    FrameBuilder single = std::move(buf.members.front());
+    buf.members.erase(buf.members.begin());
+    ++stats_.singles_posted;
+    return single;
+  }
+  std::vector<FrameBuilder> members;
+  if (n == buf.members.size()) {
+    members.swap(buf.members);
+  } else {
+    members.assign(std::make_move_iterator(buf.members.begin()),
+                   std::make_move_iterator(buf.members.begin() + n));
+    buf.members.erase(buf.members.begin(), buf.members.begin() + n);
+  }
+  // One envelope, still in scatter-gather form: member headers splice into
+  // the envelope's arena, member payload slices stay referenced. Whether
+  // the members' bytes ever hit contiguous memory is the transport's call
+  // (the sim builds once at post; a socket writes the segments directly).
+  FrameBuilder envelope;
+  encode_batch(members, envelope);
+  stats_.frames_coalesced += n;
+  ++stats_.batches_posted;
+  return envelope;
+}
+
+void FrameBatcher::drain(NodeId dst, LinkBuffer& buf,
+                         std::unique_lock<std::mutex>& lock, bool flush) {
+  buf.draining = true;
+  while (!buf.members.empty()) {
+    // Busy is re-read after every post: a frame appended while this thread
+    // was posting either leaves here or waits for the idle notification
+    // this busy answer arms. An idle notification that arrived during the
+    // post saw `draining` and left the buffer to this loop.
+    if (full(buf)) {
+      ++stats_.size_flushes;
+    } else if (!flush && !buf.flush && busy_(dst)) {
+      break;
+    }
+    FrameBuilder frame = take_locked(buf);
+    lock.unlock();
+    post_(dst, std::move(frame));
+    lock.lock();
+  }
+  buf.draining = false;
+  buf.flush = false;
 }
 
 void FrameBatcher::enqueue(NodeId dst, std::vector<std::uint8_t> payload) {
@@ -50,85 +78,62 @@ void FrameBatcher::enqueue(NodeId dst, std::vector<std::uint8_t> payload) {
 }
 
 void FrameBatcher::enqueue(NodeId dst, FrameBuilder frame) {
-  std::vector<Flush> out;
-  {
-    std::scoped_lock lock(mu_);
-    LinkBuffer& buf = buffers_[dst];
-    if (buf.members.empty()) {
-      buf.oldest = std::chrono::steady_clock::now();
-      cv_.notify_all();  // the flusher may need an earlier deadline
-    }
-    buf.bytes += frame.size();
-    buf.members.push_back(std::move(frame));
-    ++stats_.frames_enqueued;
-    if (buf.members.size() >= options_.max_frames ||
-        buf.bytes >= options_.max_bytes) {
-      ++stats_.size_flushes;
-      collect_locked(dst, buf, out);
-    }
-  }
-  for (auto& [to, p] : out) post_(to, std::move(p));
+  std::unique_lock lock(mu_);
+  LinkBuffer& buf = buffers_[dst];
+  buf.bytes += frame.size();
+  buf.members.push_back(std::move(frame));
+  ++buffered_;
+  ++stats_.frames_enqueued;
+  // An idle link takes the frame at once (a lone member leaves raw); a busy
+  // one keeps it until the write in flight finishes or the buffer fills.
+  if (!buf.draining) drain(dst, buf, lock, /*flush=*/false);
+}
+
+void FrameBatcher::on_link_idle(NodeId dst) {
+  std::unique_lock lock(mu_);
+  auto it = buffers_.find(dst);
+  if (it == buffers_.end()) return;
+  LinkBuffer& buf = it->second;
+  if (buf.members.empty() || buf.draining) return;
+  drain(dst, buf, lock, /*flush=*/false);
 }
 
 void FrameBatcher::flush_all() {
-  std::vector<Flush> out;
-  {
-    std::scoped_lock lock(mu_);
-    for (auto& [dst, buf] : buffers_) collect_locked(dst, buf, out);
+  std::unique_lock lock(mu_);
+  // Keys first: a drain drops the lock, and an enqueue to a new link may
+  // rehash the map under us.
+  std::vector<NodeId> dsts;
+  dsts.reserve(buffers_.size());
+  for (const auto& [dst, buf] : buffers_) dsts.push_back(dst);
+  for (NodeId dst : dsts) {
+    auto it = buffers_.find(dst);
+    if (it == buffers_.end()) continue;
+    LinkBuffer& buf = it->second;
+    if (buf.draining) {
+      buf.flush = true;
+    } else if (!buf.members.empty()) {
+      drain(dst, buf, lock, /*flush=*/true);
+    }
   }
-  for (auto& [to, p] : out) post_(to, std::move(p));
 }
 
 void FrameBatcher::flush_peer(NodeId dst) {
-  std::vector<Flush> out;
-  {
-    std::scoped_lock lock(mu_);
-    auto it = buffers_.find(dst);
-    if (it == buffers_.end()) return;
-    collect_locked(dst, it->second, out);
-    buffers_.erase(it);  // a departed peer's buffer does not linger
+  std::unique_lock lock(mu_);
+  auto it = buffers_.find(dst);
+  if (it == buffers_.end()) return;
+  if (it->second.draining) {
+    it->second.flush = true;  // its drainer posts the rest; the entry stays
+    return;
   }
-  for (auto& [to, p] : out) post_(to, std::move(p));
+  drain(dst, it->second, lock, /*flush=*/true);
+  // By key: the drain dropped the lock, so `it` may be stale. The flushing
+  // drain emptied the buffer, and a departed peer's entry does not linger.
+  buffers_.erase(dst);
 }
 
-void FrameBatcher::flusher(const std::stop_token& st) {
-  support::set_current_thread_name("net/batch");
-  std::unique_lock lock(mu_);
-  while (!st.stop_requested()) {
-    auto next_due = std::chrono::steady_clock::time_point::max();
-    for (const auto& [dst, buf] : buffers_) {
-      if (buf.members.empty()) continue;
-      const auto due = buf.oldest + options_.flush_interval;
-      if (due < next_due) next_due = due;
-    }
-    if (next_due == std::chrono::steady_clock::time_point::max()) {
-      cv_.wait(lock, [&] {
-        if (st.stop_requested()) return true;
-        for (const auto& [dst, buf] : buffers_) {
-          if (!buf.members.empty()) return true;
-        }
-        return false;
-      });
-      continue;
-    }
-    if (std::chrono::steady_clock::now() < next_due) {
-      cv_.wait_until(lock, next_due);
-      continue;
-    }
-    // Flush every link whose oldest member has aged past the interval.
-    std::vector<Flush> out;
-    const auto now = std::chrono::steady_clock::now();
-    for (auto& [dst, buf] : buffers_) {
-      if (buf.members.empty()) continue;
-      if (buf.oldest + options_.flush_interval <= now) {
-        ++stats_.interval_flushes;
-        collect_locked(dst, buf, out);
-      }
-    }
-    lock.unlock();
-    for (auto& [to, p] : out) post_(to, std::move(p));
-    lock.lock();
-  }
+std::size_t FrameBatcher::buffered() const {
+  std::scoped_lock lock(mu_);
+  return buffered_;
 }
 
 FrameBatcher::Stats FrameBatcher::stats() const {

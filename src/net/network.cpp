@@ -1,5 +1,7 @@
 #include "net/network.h"
 
+#include <utility>
+
 #include "core/error.h"
 #include "net/directory.h"
 #include "support/thread_util.h"
@@ -170,6 +172,7 @@ bool Network::remove_peer(NodeId id) {
       queue_.pop();
       if (s.frame.src == id || s.frame.dst == id) {
         ++stats_.frames_lost;
+        leave_link_locked(s.frame.src, s.frame.dst);
       } else {
         kept.push(std::move(s));
       }
@@ -219,7 +222,7 @@ void Network::post(Frame frame) {
     // jitter may stretch a link's latency but never reorders its frames.
     // An injected reorder fault lets this frame escape the clamp (and does
     // not advance it, so later frames are unaffected).
-    auto& link = last_due_[(frame.src << 32) | (frame.dst & 0xffffffffu)];
+    auto& link = last_due_[link_key(frame.src, frame.dst)];
     if (reorder) {
       if (due < link.max_due) ++fault_stats_.frames_reordered;
     } else {
@@ -234,8 +237,10 @@ void Network::post(Frame frame) {
             static_cast<std::uint64_t>(faults.duplicate_jitter.count()) + 1));
       }
       ++fault_stats_.frames_duplicated;
+      ++link.in_flight;
       queue_.push(Scheduled{due + extra, next_seq_++, frame});  // copy
     }
+    ++link.in_flight;
     queue_.push(Scheduled{due, next_seq_++, std::move(frame)});
     // Notify under the lock: the delivery thread's latency-timeout wakeup can
     // otherwise consume the frame — and the whole Network be torn down by a
@@ -266,32 +271,53 @@ void Network::delivery_loop(const std::stop_token& st) {
     }
     Frame frame = std::move(const_cast<Scheduled&>(queue_.top()).frame);
     queue_.pop();
+    const bool link_idle = leave_link_locked(frame.src, frame.dst);
+    Handler handler;
     if (departed_.contains(frame.src) || departed_.contains(frame.dst)) {
       // Removed after this frame was scheduled but before delivery: the
       // eviction wins (remove_peer purges the queue; this covers the race).
       ++stats_.frames_lost;
-      continue;
+    } else {
+      if (frame.dst < handlers_.size()) handler = handlers_[frame.dst];
+      if (!handler) {
+        ++stats_.frames_dropped;
+      } else {
+        ++stats_.frames_delivered;
+        stats_.bytes_delivered += frame.payload.size();
+      }
     }
-    Handler handler;
-    if (frame.dst < handlers_.size()) handler = handlers_[frame.dst];
-    if (!handler) {
-      ++stats_.frames_dropped;
-      continue;
-    }
-    ++stats_.frames_delivered;
-    stats_.bytes_delivered += frame.payload.size();
+    if (!handler && !link_idle) continue;
     delivering_ = true;
     delivering_to_ = frame.dst;
-    // Promote the payload to shared ownership (vector move, no byte copy):
-    // decoded blob params and batch members can then alias the frame.
-    Buffer payload = Buffer::adopt(std::move(frame.payload));
     lock.unlock();
-    // Outside the lock: handlers may post frames.
-    handler(frame.src, std::move(payload));
+    // Outside the lock: handlers may post frames, and so may the sender's
+    // idle handler (its batcher's residue leaves now). Both run before
+    // delivering_ clears, so wait_quiescent also covers what they post.
+    if (handler) {
+      // Promote the payload to shared ownership (vector move, no byte
+      // copy): decoded blob params and batch members can then alias it.
+      handler(frame.src, Buffer::adopt(std::move(frame.payload)));
+    }
+    if (link_idle) notify_idle(frame.src, frame.dst);
     lock.lock();
     delivering_ = false;
     idle_cv_.notify_all();
   }
+}
+
+bool Network::leave_link_locked(NodeId src, NodeId dst) {
+  auto it = last_due_.find(link_key(src, dst));
+  if (it == last_due_.end() || it->second.in_flight == 0) return false;
+  return --it->second.in_flight == 0 &&
+         std::exchange(it->second.idle_wanted, false);
+}
+
+bool Network::link_busy(NodeId src, NodeId dst) {
+  std::scoped_lock lock(mu_);
+  auto it = last_due_.find(link_key(src, dst));
+  if (it == last_due_.end() || it->second.in_flight == 0) return false;
+  it->second.idle_wanted = true;
+  return true;
 }
 
 TransportStats Network::transport_stats() const {

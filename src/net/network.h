@@ -149,6 +149,11 @@ class Network final : public Transport {
   /// both ends of every link.
   void wait_quiescent() const override;
 
+  /// True while a frame src → dst is scheduled but not yet delivered (or
+  /// dropped at delivery). After a true answer, the delivery thread fires
+  /// the idle handler when the last one leaves.
+  bool link_busy(NodeId src, NodeId dst) override;
+
  private:
   struct Scheduled {
     std::chrono::steady_clock::time_point due;
@@ -187,14 +192,25 @@ class Network final : public Transport {
   support::Rng rng_;
   TransportStats stats_;
   SimFaultStats fault_stats_;
-  /// Per-directed-link schedule state (keyed src<<32|dst): `clamp` is the
+  /// Per-directed-link schedule state (keyed by link_key): `clamp` is the
   /// FIFO watermark jittered frames are held to; `max_due` is the latest
   /// delivery ever scheduled, used to detect when an injected reorder fault
-  /// actually overtook an earlier frame.
+  /// actually overtook an earlier frame; `in_flight` counts frames
+  /// scheduled and not yet popped — the link is busy while it is non-zero —
+  /// and `idle_wanted` records that link_busy answered true since.
   struct LinkSchedule {
     std::chrono::steady_clock::time_point clamp;
     std::chrono::steady_clock::time_point max_due;
+    std::uint64_t in_flight = 0;
+    bool idle_wanted = false;
   };
+  static std::uint64_t link_key(NodeId src, NodeId dst) {
+    return (src << 32) | (dst & 0xffffffffu);
+  }
+  /// One scheduled frame src → dst left the queue. Returns true when that
+  /// was the link's last one and an idle notification is wanted. Caller
+  /// holds mu_.
+  bool leave_link_locked(NodeId src, NodeId dst);
   std::unordered_map<std::uint64_t, LinkSchedule> last_due_;
   std::uint64_t next_seq_ = 0;
   bool delivering_ = false;

@@ -104,8 +104,9 @@ Node::Node(Transport& transport, const std::string& name)
 void Node::on_membership(NodeId peer, bool added) {
   if (added) return;
   // A departed peer: flush its batch buffer now — the transport fail-fasts
-  // the post (counted dropped) instead of the members idling out a flush
-  // interval — and drop routes naming it so the next call re-resolves.
+  // the post (counted dropped) instead of the members waiting for an idle
+  // transition that never comes — and drop routes naming it so the next
+  // call re-resolves.
   if (auto* b = batcher_raw_.load(std::memory_order_acquire)) {
     b->flush_peer(peer);
   }
@@ -128,8 +129,7 @@ Node::~Node() {
   if (timer_thread_.joinable()) timer_thread_.join();
   // Retire the batcher after the retry thread (its last posts still coalesce)
   // and before orphaning pending calls; its destructor flushes residue.
-  batcher_raw_.store(nullptr, std::memory_order_release);
-  batcher_.reset();
+  retire_batcher();
   // Fail anything still waiting for a response.
   std::vector<std::pair<std::shared_ptr<CallState>, std::string>> orphans;
   {
@@ -188,15 +188,32 @@ RpcHandle Node::async_call(const std::string& object, const std::string& entry,
 void Node::set_batching(const BatchOptions& options) {
   // Quiesce the old batcher (if any) before swapping: posting threads read
   // batcher_raw_ with acquire ordering, so publish the new one last.
-  batcher_raw_.store(nullptr, std::memory_order_release);
-  batcher_.reset();
+  retire_batcher();
   batcher_ = std::make_unique<FrameBatcher>(
-      options, [this](NodeId dst, FrameBuilder frame) {
+      options,
+      [this](NodeId dst, FrameBuilder frame) {
         // Flushes stay in scatter-gather form all the way to the transport,
         // so batch envelopes ride a socket backend's writev path too.
         transport_->post(id_, dst, frame);
-      });
+      },
+      [this](NodeId dst) { return transport_->link_busy(id_, dst); });
   batcher_raw_.store(batcher_.get(), std::memory_order_release);
+  // Installed only with batching on; only the batcher's link_busy queries
+  // arm the transport's idle notifications.
+  transport_->set_idle_handler(id_, [this](NodeId dst) {
+    if (auto* b = batcher_raw_.load(std::memory_order_acquire)) {
+      b->on_link_idle(dst);
+    }
+  });
+}
+
+void Node::retire_batcher() {
+  if (!batcher_) return;
+  // The handler first: set_idle_handler waits out a call still draining
+  // into the batcher about to be destroyed.
+  transport_->set_idle_handler(id_, nullptr);
+  batcher_raw_.store(nullptr, std::memory_order_release);
+  batcher_.reset();
 }
 
 void Node::flush_batches() {

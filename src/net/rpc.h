@@ -33,10 +33,11 @@
 // re-route, the redirect composes with retries (at most one extra hop,
 // never a double execution), and resharding needs no global barrier.
 //
-// Frame coalescing. set_batching() buffers this node's outgoing frames per
-// destination link and flushes on a size or interval bound (batch.h); the
+// Frame coalescing. set_batching() sends a frame at once on an idle link
+// and coalesces frames posted behind a write in flight into one kBatch
+// envelope, sent when the link goes idle or the buffer fills (batch.h); the
 // receiver unpacks kBatch members in order, preserving link FIFO. High
-// fan-in workloads pay ~1/batch-size frames per call (bench_routing, E15).
+// fan-in workloads pay well under one frame per call (bench_routing, E15).
 //
 // Fault tolerance. The network may drop, duplicate or reorder frames and
 // sever links (see network.h). Two cooperating mechanisms restore the
@@ -423,6 +424,9 @@ class Node : public ChannelResolver {
   /// Membership-change hook (Transport listener): a departed peer's batch
   /// buffer is flushed fail-fast and its cached routes dropped.
   void on_membership(NodeId peer, bool added);
+  /// Unhooks the batcher from the transport's idle notifications and
+  /// destroys it (flushing residue). No-op without batching.
+  void retire_batcher();
   /// Removes client bookkeeping for req_id; returns an ack frame to post
   /// (empty if none is due). Caller holds mu_.
   std::vector<std::uint8_t> finish_pending_locked(std::uint64_t req_id,

@@ -51,4 +51,33 @@ void Transport::notify_membership(NodeId peer, bool added) {
   for (const auto& fn : snapshot) fn(peer, added);
 }
 
+void Transport::set_idle_handler(NodeId node, IdleHandler handler) {
+  std::unique_lock lock(idle_mu_);
+  IdleSlot& slot = idle_slots_[node];
+  slot.handler = handler ? std::make_shared<const IdleHandler>(std::move(handler))
+                         : nullptr;
+  // Same contract as set_handler: a call still running may be into the
+  // handler just replaced, whose captures the caller is about to destroy.
+  idle_done_.wait(lock, [&] { return slot.running == 0; });
+}
+
+void Transport::notify_idle(NodeId src, NodeId dst) {
+  std::shared_ptr<const IdleHandler> handler;
+  IdleSlot* slot = nullptr;
+  {
+    std::scoped_lock lock(idle_mu_);
+    auto it = idle_slots_.find(src);
+    if (it == idle_slots_.end() || !it->second.handler) return;
+    slot = &it->second;  // node-based map, and slots are never erased
+    handler = slot->handler;
+    ++slot->running;
+  }
+  (*handler)(dst);  // outside the lock: the handler posts frames
+  {
+    std::scoped_lock lock(idle_mu_);
+    --slot->running;
+  }
+  idle_done_.notify_all();
+}
+
 }  // namespace alps::net

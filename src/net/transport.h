@@ -27,11 +27,16 @@
 //     socket transport; the RPC dedup layer tolerates both.
 //   * Delivery handlers run on transport-owned threads and must not block
 //     for long; the RPC layer's handlers only enqueue kernel work.
+//   * Each directed link reports whether it is busy, and tells the sending
+//     node when a busy link goes idle — the clock a batcher coalesces by
+//     (batch.h). Socket: a write in flight or queued; sim: not delivered.
 // DESIGN.md §4.10 tabulates the full sim-vs-socket contract.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -127,6 +132,32 @@ class Transport {
     return false;
   }
 
+  // ---- link state for self-clocked batching (batch.h) ----
+
+  /// True while a frame src → dst is still on its way out: a socket link
+  /// with a write in flight or frames queued behind one; a sim link with a
+  /// frame scheduled but not yet delivered. A batcher coalesces frames
+  /// only behind a busy link and sends at once on an idle one. A true
+  /// answer also asks for one idle notification: the link's next
+  /// busy → idle transition calls src's idle handler (Nagle's "send when
+  /// the ACK comes back"), so links nobody waits on pay no callback. A
+  /// transport that never reports busy never fires idle; batching then
+  /// degenerates to direct sends.
+  virtual bool link_busy(NodeId src, NodeId dst) {
+    (void)src;
+    (void)dst;
+    return false;
+  }
+
+  /// Told `dst` after the link node → dst stopped being busy, following a
+  /// link_busy that answered true, on a transport thread (or a posting
+  /// thread that just finished a write), holding no transport lock.
+  /// Installs (or, with nullptr, removes) `node`'s handler; like
+  /// set_handler, does not return while a call into a previous handler is
+  /// still running, so a deregistering ~Node can destroy the captures.
+  using IdleHandler = std::function<void(NodeId dst)>;
+  void set_idle_handler(NodeId node, IdleHandler handler);
+
   virtual std::size_t node_count() const = 0;
   virtual std::string node_name(NodeId id) const = 0;
 
@@ -167,10 +198,23 @@ class Transport {
   /// Backends call this after a membership change, holding no locks.
   void notify_membership(NodeId peer, bool added);
 
+  /// Backends call this after link src → dst turned from busy to idle,
+  /// holding no locks.
+  void notify_idle(NodeId src, NodeId dst);
+
  private:
   mutable std::mutex listeners_mu_;
   std::unordered_map<std::uint64_t, MembershipListener> listeners_;
   std::uint64_t next_listener_token_ = 1;
+
+  /// One installed idle handler and the calls into it still running.
+  struct IdleSlot {
+    std::shared_ptr<const IdleHandler> handler;
+    int running = 0;
+  };
+  std::mutex idle_mu_;
+  std::condition_variable idle_done_;  ///< a call into a handler returned
+  std::unordered_map<NodeId, IdleSlot> idle_slots_;
 };
 
 }  // namespace alps::net

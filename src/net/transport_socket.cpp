@@ -382,6 +382,7 @@ void SocketTransport::enqueue(NodeId dst, FrameBuilder frame) {
   const std::size_t bytes = frame.size();
   bool lost = false;
   bool dropped = false;
+  bool went_idle = false;
   {
     std::unique_lock lock(link->mu);
     if (link->removed) {
@@ -411,6 +412,7 @@ void SocketTransport::enqueue(NodeId dst, FrameBuilder frame) {
         // Frames queued behind this write, or wait_quiescent is watching.
         link->cv.notify_all();
       }
+      went_idle = link->queue.empty() && std::exchange(link->idle_wanted, false);
     } else if (link->queue.size() >= options_.max_queued_per_peer) {
       lost = true;
     } else if ((link->severed || link->unreachable) &&
@@ -445,6 +447,17 @@ void SocketTransport::enqueue(NodeId dst, FrameBuilder frame) {
     ++stats_.frames_dropped;
   }
   if (lost) count_lost(1, bytes);
+  if (went_idle) notify_idle(options_.local_node, dst);
+}
+
+bool SocketTransport::link_busy(NodeId src, NodeId dst) {
+  (void)src;  // every link starts at the one local node
+  auto link = find_link(dst);
+  if (!link) return false;
+  std::scoped_lock lock(link->mu);
+  const bool busy = link->sending || !link->queue.empty();
+  if (busy) link->idle_wanted = true;
+  return busy;
 }
 
 bool SocketTransport::connect_locked(PeerLink& link) {
@@ -712,6 +725,13 @@ void SocketTransport::sender_loop(const std::stop_token& st, PeerLink* link) {
       requeue_failed_locked(*link, fd, std::move(frame), st.stop_requested());
     }
     if (link->quiescent_waiters > 0) link->cv.notify_all();
+    if (link->queue.empty() && std::exchange(link->idle_wanted, false)) {
+      // The link went idle: a batcher's frames coalesced behind this write
+      // leave now, posted from this thread.
+      lock.unlock();
+      notify_idle(options_.local_node, link->id);
+      lock.lock();
+    }
   }
 }
 

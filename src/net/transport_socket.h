@@ -55,7 +55,10 @@
 // Frames posted while a write is in flight queue behind it. The sender
 // thread owns everything else: connecting, the HELLO, backoff, replay of
 // parked frames, and tails. One `sending` flag makes the two writers
-// mutually exclusive, so the stream stays in posted order. A frame torn by
+// mutually exclusive, so the stream stays in posted order. A link is busy
+// while `sending` is held or frames are queued; the writer that finishes
+// with an empty queue fires the idle handler (transport.h), which is when a
+// batching Node sends what coalesced behind the write. A frame torn by
 // a dying connection replays whole on the next one. Either way no
 // contiguous frame is built: the data plane's `bytes_assembled` counter
 // stays at zero for every frame this transport sends — the slices' single
@@ -167,6 +170,11 @@ class SocketTransport final : public Transport {
   std::size_t node_count() const override;
   std::string node_name(NodeId id) const override;
 
+  /// True while a write towards `dst` is in flight or frames are queued
+  /// for it. After a true answer, the idle handler fires when a writer (a
+  /// posting thread or the sender) finishes and the queue is empty.
+  bool link_busy(NodeId src, NodeId dst) override;
+
   /// Blocks until every peer's send queue is drained and no write is in
   /// flight. Send-side only: bytes in kernel buffers or the peer process
   /// are beyond this transport's knowledge (DESIGN.md §4.10).
@@ -222,6 +230,9 @@ class SocketTransport final : public Transport {
     /// stream between taking a frame and the wire.
     bool sending = false;
     int quiescent_waiters = 0;  ///< wait_quiescent callers blocked on cv
+    /// link_busy answered true: the next writer to leave the link idle
+    /// fires the idle handler.
+    bool idle_wanted = false;
     bool unreachable = false;   ///< last connect round failed (in backoff)
     bool removed = false;       ///< evicted by remove_peer; terminal
     bool replaying = false;     ///< queue survived a dead connection

@@ -6,6 +6,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
+#include <mutex>
 #include <set>
 #include <thread>
 
@@ -519,21 +521,57 @@ TEST(Routing, ReplicaRedirectsMisroutedWrite) {
 
 // ---- frame batching ----
 
-TEST(Batch, SizeBoundCoalescesAndPreservesFifo) {
-  // Unit-level: a batcher over a recording post function.
-  std::vector<std::pair<NodeId, std::vector<std::uint8_t>>> posted;
+/// A fake link under a batcher: records every post in order, and reports
+/// busy from a flag the test (or the post itself) flips. Going idle is the
+/// test's job: clear `busy`, then call on_link_idle — the order a transport
+/// keeps (transition first, notification after).
+struct FakeLink {
   std::mutex mu;
+  std::vector<std::pair<NodeId, std::vector<std::uint8_t>>> posted;
+  std::vector<std::thread::id> posters;
+  std::atomic<bool> busy{false};
+
+  FrameBatcher::PostFn post_fn() {
+    return [this](NodeId dst, FrameBuilder frame) {
+      std::scoped_lock lock(mu);
+      posted.emplace_back(dst, frame.build());
+      posters.push_back(std::this_thread::get_id());
+    };
+  }
+  FrameBatcher::BusyFn busy_fn() {
+    return [this](NodeId) { return busy.load(); };
+  }
+  /// Members of every post in posting order: a kBatch envelope unpacked,
+  /// a raw frame as itself.
+  std::vector<std::vector<std::uint8_t>> members() {
+    std::scoped_lock lock(mu);
+    std::vector<std::vector<std::uint8_t>> out;
+    for (const auto& [dst, bytes] : posted) {
+      std::size_t pos = 0;
+      if (get_u8(bytes, pos) == static_cast<std::uint8_t>(MsgType::kBatch)) {
+        for (auto& m : decode_batch(bytes, pos)) out.push_back(std::move(m));
+      } else {
+        out.push_back(bytes);
+      }
+    }
+    return out;
+  }
+};
+
+std::vector<std::uint8_t> ack_frame(std::uint8_t tag) {
+  return {static_cast<std::uint8_t>(MsgType::kAck), tag};
+}
+
+TEST(Batch, SizeBoundCoalescesAndPreservesFifo) {
+  // Unit-level: a batcher over a recording post function, link always busy.
+  FakeLink link;
+  link.busy = true;
   BatchOptions opts;
   opts.max_frames = 4;
-  opts.flush_interval = std::chrono::microseconds(60'000'000);  // size-only
-  FrameBatcher batcher(opts, [&](NodeId dst, FrameBuilder frame) {
-    std::scoped_lock lock(mu);
-    posted.emplace_back(dst, frame.build());
-  });
-  for (std::uint8_t i = 0; i < 8; ++i) {
-    batcher.enqueue(7, {static_cast<std::uint8_t>(MsgType::kAck), i});
-  }
-  std::scoped_lock lock(mu);
+  FrameBatcher batcher(opts, link.post_fn(), link.busy_fn());
+  for (std::uint8_t i = 0; i < 8; ++i) batcher.enqueue(7, ack_frame(i));
+  std::scoped_lock lock(link.mu);
+  const auto& posted = link.posted;
   ASSERT_EQ(posted.size(), 2u);  // two size-bound flushes of 4
   for (std::size_t b = 0; b < 2; ++b) {
     EXPECT_EQ(posted[b].first, 7u);
@@ -555,49 +593,184 @@ TEST(Batch, SizeBoundCoalescesAndPreservesFifo) {
 }
 
 TEST(Batch, SingleFrameFlushesRawWithoutEnvelope) {
-  std::vector<std::vector<std::uint8_t>> posted;
-  std::mutex mu;
+  FakeLink link;
+  link.busy = true;  // the frame waits in the buffer for the flush
   BatchOptions opts;
   opts.max_frames = 8;
-  opts.flush_interval = std::chrono::microseconds(60'000'000);
-  FrameBatcher batcher(opts, [&](NodeId, FrameBuilder frame) {
-    std::scoped_lock lock(mu);
-    posted.push_back(frame.build());
-  });
-  batcher.enqueue(1, {static_cast<std::uint8_t>(MsgType::kAck), 9});
+  FrameBatcher batcher(opts, link.post_fn(), link.busy_fn());
+  batcher.enqueue(1, ack_frame(9));
   batcher.flush_all();
-  std::scoped_lock lock(mu);
+  std::scoped_lock lock(link.mu);
+  const auto& posted = link.posted;
   ASSERT_EQ(posted.size(), 1u);
-  EXPECT_EQ(posted[0][0], static_cast<std::uint8_t>(MsgType::kAck))
+  EXPECT_EQ(posted[0].second[0], static_cast<std::uint8_t>(MsgType::kAck))
       << "a lone frame must go out raw — batch-1 latency equals direct";
   EXPECT_EQ(batcher.stats().singles_posted, 1u);
   EXPECT_EQ(batcher.stats().batches_posted, 0u);
 }
 
-TEST(Batch, IntervalBoundFlushesWithoutHelp) {
-  std::mutex mu;
-  std::condition_variable cv;
-  std::size_t posted = 0;
+TEST(Batch, IdleLinkPostsAtOnceRaw) {
+  // Nagle's rule, first half: nothing in flight, so the frame leaves inside
+  // enqueue, on the caller's thread, with no envelope and no clock.
+  FakeLink link;
+  FrameBatcher batcher(BatchOptions{}, link.post_fn(), link.busy_fn());
+  batcher.enqueue(3, ack_frame(5));
+  {
+    std::scoped_lock lock(link.mu);
+    ASSERT_EQ(link.posted.size(), 1u) << "posted before enqueue returned";
+    EXPECT_EQ(link.posted[0].first, 3u);
+    EXPECT_EQ(link.posted[0].second, ack_frame(5)) << "sent raw";
+    EXPECT_EQ(link.posters[0], std::this_thread::get_id());
+  }
+  EXPECT_EQ(batcher.buffered(), 0u);
+  const auto stats = batcher.stats();
+  EXPECT_EQ(stats.singles_posted, 1u);
+  EXPECT_EQ(stats.batches_posted, 0u);
+  EXPECT_EQ(stats.interval_flushes, 0u);
+}
+
+TEST(Batch, FramesBehindBusyLinkCoalesceInFifo) {
+  // Nagle's rule, second half: behind a busy link frames wait, and each
+  // idle transition sends what gathered as one envelope of at most
+  // max_frames members, in enqueue order.
+  FakeLink link;
   BatchOptions opts;
-  opts.max_frames = 100;  // never reached
-  opts.flush_interval = std::chrono::microseconds(500);
-  FrameBatcher batcher(opts, [&](NodeId, const FrameBuilder&) {
-    std::scoped_lock lock(mu);
-    ++posted;
-    cv.notify_all();
+  opts.max_frames = 8;
+  FrameBatcher batcher(opts, link.post_fn(), link.busy_fn());
+  std::uint8_t next = 0;
+  const auto go_idle = [&] {
+    link.busy = false;
+    batcher.on_link_idle(1);
+    link.busy = true;
+  };
+  const auto posts = [&] {
+    std::scoped_lock lock(link.mu);
+    return link.posted.size();
+  };
+
+  link.busy = true;
+  for (int i = 0; i < 5; ++i) batcher.enqueue(1, ack_frame(next++));
+  EXPECT_EQ(posts(), 0u) << "nothing leaves while the link is busy";
+  EXPECT_EQ(batcher.buffered(), 5u);
+  go_idle();
+  EXPECT_EQ(posts(), 1u) << "one envelope per idle transition";
+  go_idle();
+  EXPECT_EQ(posts(), 1u) << "an idle link with nothing buffered posts nothing";
+
+  for (int i = 0; i < 3; ++i) batcher.enqueue(1, ack_frame(next++));
+  go_idle();
+  EXPECT_EQ(posts(), 2u);
+
+  // 10 behind a busy link: the 8th fills the buffer and leaves at once;
+  // the last 2 wait for the idle.
+  for (int i = 0; i < 10; ++i) batcher.enqueue(1, ack_frame(next++));
+  EXPECT_EQ(posts(), 3u);
+  EXPECT_EQ(batcher.buffered(), 2u);
+  go_idle();
+  EXPECT_EQ(posts(), 4u);
+  EXPECT_EQ(batcher.buffered(), 0u);
+
+  {
+    std::scoped_lock lock(link.mu);
+    const std::size_t want[] = {5, 3, 8, 2};
+    for (std::size_t b = 0; b < link.posted.size(); ++b) {
+      std::size_t pos = 0;
+      ASSERT_EQ(get_u8(link.posted[b].second, pos),
+                static_cast<std::uint8_t>(MsgType::kBatch));
+      EXPECT_EQ(decode_batch(link.posted[b].second, pos).size(), want[b]);
+    }
+  }
+  const auto members = link.members();
+  ASSERT_EQ(members.size(), next);
+  for (std::uint8_t i = 0; i < next; ++i) {
+    EXPECT_EQ(members[i], ack_frame(i)) << "member " << int{i} << " out of order";
+  }
+  const auto stats = batcher.stats();
+  EXPECT_EQ(stats.batches_posted, 4u);
+  EXPECT_EQ(stats.frames_coalesced, next);
+  EXPECT_EQ(stats.size_flushes, 1u);
+  EXPECT_EQ(stats.interval_flushes, 0u);
+}
+
+TEST(Batch, ConcurrentEnqueueNeverStrandsOrReorders) {
+  // Four posters race a thread that flips the link busy and idle at random,
+  // and each post may itself leave the link busy (a write still in flight).
+  // Every frame must be posted exactly once, each poster's frames in its
+  // own order, and once the link is idle nothing may be left buffered: a
+  // frame appended while another thread drains, or just before an idle
+  // transition, must still leave.
+  constexpr int kPosters = 4;
+  constexpr std::uint32_t kFrames = 10'000;
+  FakeLink link;
+  BatchOptions opts;
+  opts.max_frames = 8;
+  auto record = link.post_fn();
+  FrameBatcher batcher(
+      opts,
+      [&](NodeId dst, FrameBuilder frame) {
+        record(dst, std::move(frame));
+        thread_local std::uint64_t x = 0x9e3779b97f4a7c15ull;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        if (x % 3 == 0) link.busy = true;  // this write is still going
+      },
+      link.busy_fn());
+
+  std::atomic<bool> posting{true};
+  std::thread toggler([&] {
+    std::uint64_t x = 12345;
+    while (posting.load()) {
+      x = x * 6364136223846793005ull + 1442695040888963407ull;
+      if ((x >> 33) % 2 == 0) {
+        link.busy = true;
+      } else {
+        link.busy = false;  // transition, then the notification
+        batcher.on_link_idle(1);
+      }
+      if ((x >> 40) % 4 == 0) std::this_thread::yield();
+    }
+    link.busy = false;
+    batcher.on_link_idle(1);
   });
-  batcher.enqueue(1, {static_cast<std::uint8_t>(MsgType::kAck), 1});
-  std::unique_lock lock(mu);
-  ASSERT_TRUE(cv.wait_for(lock, 5s, [&] { return posted > 0; }))
-      << "the flusher thread must emit the frame after flush_interval";
-  EXPECT_GE(batcher.stats().interval_flushes, 1u);
+  std::vector<std::thread> posters;
+  for (int t = 0; t < kPosters; ++t) {
+    posters.emplace_back([&, t] {
+      for (std::uint32_t seq = 0; seq < kFrames; ++seq) {
+        std::vector<std::uint8_t> f(2 + sizeof(seq));
+        f[0] = static_cast<std::uint8_t>(MsgType::kAck);
+        f[1] = static_cast<std::uint8_t>(t);
+        std::memcpy(f.data() + 2, &seq, sizeof(seq));
+        batcher.enqueue(1, std::move(f));
+      }
+    });
+  }
+  for (auto& p : posters) p.join();
+  posting.store(false);
+  toggler.join();
+
+  EXPECT_EQ(batcher.buffered(), 0u) << "frames stranded behind an idle link";
+  const auto members = link.members();
+  ASSERT_EQ(members.size(), kPosters * kFrames);
+  std::vector<std::uint32_t> next(kPosters, 0);
+  for (const auto& m : members) {
+    ASSERT_EQ(m.size(), 2 + sizeof(std::uint32_t));
+    ASSERT_LT(m[1], kPosters);
+    std::uint32_t seq = 0;
+    std::memcpy(&seq, m.data() + 2, sizeof(seq));
+    ASSERT_EQ(seq, next[m[1]]) << "poster " << int{m[1]}
+                               << " frame lost, duplicated or reordered";
+    ++next[m[1]];
+  }
+  EXPECT_EQ(batcher.stats().frames_enqueued, kPosters * kFrames);
 }
 
 TEST(Teardown, NetworkAndBatcherSurviveConstructDestroyStress) {
-  // Each destructor stops a thread that may be just about to wait on its
-  // condition variable; the stop must not be lost (ctest's timeout catches a
-  // hung join). Every other round leaves work queued, so the threads are
-  // stopped from both their idle and their timed waits.
+  // The Network destructor stops its delivery thread, which may be just
+  // about to wait on its condition variable; the stop must not be lost
+  // (ctest's timeout catches a hung join). Every other round leaves work
+  // queued, so the thread is stopped from both its idle and its timed
+  // waits, and the batcher is destroyed holding a frame behind a busy link.
   for (int round = 0; round < 300; ++round) {
     Network net(LinkLatency{std::chrono::microseconds(0),
                             std::chrono::microseconds(50)},
@@ -608,13 +781,16 @@ TEST(Teardown, NetworkAndBatcherSurviveConstructDestroyStress) {
 
     BatchOptions opts;
     opts.max_frames = 8;
-    opts.flush_interval = std::chrono::microseconds(100);
-    FrameBatcher batcher(opts, [](NodeId, const FrameBuilder&) {});
-    if (round % 2 == 1) {
-      batcher.enqueue(1, {static_cast<std::uint8_t>(MsgType::kAck), 1});
+    std::size_t posted = 0;
+    {
+      FrameBatcher batcher(
+          opts, [&](NodeId, const FrameBuilder&) { ++posted; },
+          [](NodeId) { return true; });
+      if (round % 2 == 1) batcher.enqueue(1, ack_frame(1));
     }
+    EXPECT_EQ(posted, static_cast<std::size_t>(round % 2))
+        << "the destructor flushes residue";
   }
-  SUCCEED();
 }
 
 TEST(Batch, BatchedCallsCompleteAndCoalesce) {
@@ -626,7 +802,6 @@ TEST(Batch, BatchedCallsCompleteAndCoalesce) {
 
   BatchOptions opts;
   opts.max_frames = 8;
-  opts.flush_interval = std::chrono::microseconds(200);
   client.set_batching(opts);
 
   constexpr int kCalls = 64;
@@ -660,7 +835,6 @@ TEST(Batch, DroppedBatchConvergesThroughRetry) {
 
   BatchOptions bopts;
   bopts.max_frames = 8;
-  bopts.flush_interval = std::chrono::microseconds(200);
   client.set_batching(bopts);
   server.set_batching(bopts);  // responses/acks coalesce too
 

@@ -279,17 +279,22 @@ TEST(SocketRpc, BatchedCallsCoalesceOverTheWire) {
   SocketRpcRig rig;
   BatchOptions batch;
   batch.max_frames = 8;
-  batch.flush_interval = std::chrono::microseconds(200);
   rig.client.set_batching(batch);
 
   CallOptions opts;
   opts.retry = RetryPolicy{};
   std::vector<RpcHandle> handles;
+  // Batching coalesces only behind a busy link, and one posting thread
+  // finishes each write before its next post, so the burst goes out behind
+  // a cut: the frames park in the transport's queue, keeping the link busy
+  // until restore() replays them.
+  rig.client_t.sever(2);
   for (int i = 0; i < 32; ++i) {
     handles.push_back(
         rig.client.async_call("Echo", "Double", vals(i), opts));
   }
   rig.client.flush_batches();
+  rig.client_t.restore(2);
   for (int i = 0; i < 32; ++i) {
     auto r = handles[i].result();
     ASSERT_TRUE(r.ok()) << r.error().what();
@@ -745,21 +750,68 @@ std::vector<std::uint8_t> big_frame(std::uint32_t i) {
   return f;
 }
 
+/// Plays the peer on a raw accepted connection: takes its HELLO, then
+/// reassembles stream frames until `want` payloads arrived — with `unpack`,
+/// kBatch envelopes count as their members, in order — or the stream ends
+/// or stays silent for 30 s.
+std::vector<std::vector<std::uint8_t>> read_raw_peer(int fd, std::size_t want,
+                                                     bool unpack) {
+  std::vector<std::vector<std::uint8_t>> got;
+  HelloReader hello;
+  StreamReassembler reassembler;
+  std::vector<std::uint8_t> chunk(64 * 1024);
+  struct timeval tv{30, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  while (got.size() < want) {
+    const ssize_t n = ::read(fd, chunk.data(), chunk.size());
+    if (n <= 0) break;
+    const std::uint8_t* data = chunk.data();
+    std::size_t remaining = static_cast<std::size_t>(n);
+    try {
+      if (!hello.done() && !hello.feed(data, remaining)) continue;
+      reassembler.feed(data, remaining);
+      while (auto msg = reassembler.next()) {
+        std::size_t pos = 0;
+        if (unpack && get_u8(msg->payload, pos) ==
+                          static_cast<std::uint8_t>(MsgType::kBatch)) {
+          for (auto& m : decode_batch(msg->payload, pos)) {
+            got.push_back(std::move(m));
+          }
+        } else {
+          got.emplace_back(msg->payload.data(),
+                           msg->payload.data() + msg->payload.size());
+        }
+      }
+    } catch (const Error& e) {
+      ADD_FAILURE() << "corrupt stream: " << e.what();
+      break;
+    }
+  }
+  return got;
+}
+
+/// Listens on `path` for a peer the test plays by hand (read_raw_peer).
+int raw_listener(const std::string& path) {
+  const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  if (listener < 0 ||
+      ::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+      ::listen(listener, 4) != 0) {
+    ADD_FAILURE() << "raw listener on " << path << ": " << std::strerror(errno);
+  }
+  return listener;
+}
+
 TEST(SocketTransport, PostNeverBlocksAgainstAStalledReader) {
   // The posting thread writes with MSG_DONTWAIT: once the socket buffer is
   // full, a short write or EAGAIN hands the tail to the sender thread and
   // post() returns. A peer that accepts and never reads must not stall the
   // poster — servers post from inside on_complete on the manager thread.
   SocketPaths paths("stall");
-  const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  const int listener = raw_listener(paths.node(2));
   ASSERT_GE(listener, 0);
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  const std::string path = paths.node(2);
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  ASSERT_EQ(::listen(listener, 4), 0);
 
   SocketTransport ta(uds_options(paths, 1, {1, 2}));
   ta.add_node("a");
@@ -780,28 +832,7 @@ TEST(SocketTransport, PostNeverBlocksAgainstAStalledReader) {
   std::vector<std::vector<std::uint8_t>> got;
   std::thread peer([&] {
     go.wait_for(10s);
-    HelloReader hello;
-    StreamReassembler reassembler;
-    std::vector<std::uint8_t> chunk(64 * 1024);
-    struct timeval tv{30, 0};
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    while (got.size() < total) {
-      const ssize_t n = ::read(fd, chunk.data(), chunk.size());
-      if (n <= 0) return;
-      const std::uint8_t* data = chunk.data();
-      std::size_t remaining = static_cast<std::size_t>(n);
-      try {
-        if (!hello.done() && !hello.feed(data, remaining)) continue;
-        reassembler.feed(data, remaining);
-      } catch (const Error& e) {
-        ADD_FAILURE() << "corrupt stream: " << e.what();
-        return;
-      }
-      while (auto msg = reassembler.next()) {
-        got.emplace_back(msg->payload.data(),
-                         msg->payload.data() + msg->payload.size());
-      }
-    }
+    got = read_raw_peer(fd, total, /*unpack=*/false);
   });
 
   auto slowest = std::chrono::steady_clock::duration::zero();
@@ -823,6 +854,164 @@ TEST(SocketTransport, PostNeverBlocksAgainstAStalledReader) {
   }
   ta.wait_quiescent();
   EXPECT_EQ(ta.transport_stats().frames_lost, 0u);
+}
+
+/// Frame `i` of the batched stalled-reader test: an ack-typed 16 KB frame,
+/// so kBatch envelopes are the only frames that start with kBatch.
+std::vector<std::uint8_t> tagged_frame(std::uint32_t i) {
+  std::vector<std::uint8_t> f(16 * 1024);
+  f[0] = static_cast<std::uint8_t>(MsgType::kAck);
+  std::memcpy(f.data() + 1, &i, sizeof(i));
+  for (std::size_t j = 1 + sizeof(i); j < f.size(); ++j) {
+    f[j] = static_cast<std::uint8_t>(i * 31 + j);
+  }
+  return f;
+}
+
+TEST(SocketTransport, BatcherBehindAStalledReaderHoldsOneEnvelope) {
+  // A batcher over a socket link whose peer stops reading: the first frame
+  // leaves raw on the idle link, then the writes back up and the link stays
+  // busy. Frames gather behind it, but a full buffer still leaves at once
+  // (into the transport's queue), so the batcher never holds more than one
+  // envelope's worth and enqueue never blocks. When the peer reads again
+  // the link drains, goes idle, and the residue follows — all in order.
+  SocketPaths paths("bstall");
+  const int listener = raw_listener(paths.node(2));
+  ASSERT_GE(listener, 0);
+  SocketTransport ta(uds_options(paths, 1, {1, 2}));
+  ta.add_node("a");
+  BatchOptions opts;
+  opts.max_frames = 4;
+  FrameBatcher batcher(
+      opts, [&](NodeId dst, FrameBuilder frame) { ta.post(1, dst, frame); },
+      [&](NodeId dst) { return ta.link_busy(1, dst); });
+  ta.set_idle_handler(1, [&](NodeId dst) { batcher.on_link_idle(dst); });
+
+  batcher.enqueue(2, tagged_frame(0));  // starts the sender, which connects
+  const int fd = ::accept(listener, nullptr, nullptr);
+  ASSERT_GE(fd, 0);
+  int sndbuf = 0;
+  socklen_t len = sizeof(sndbuf);
+  ASSERT_EQ(::getsockopt(fd, SOL_SOCKET, SO_SNDBUF, &sndbuf, &len), 0);
+  const std::uint32_t total =
+      static_cast<std::uint32_t>(4 * sndbuf / (16 * 1024)) + 64;
+
+  support::Event go;
+  std::vector<std::vector<std::uint8_t>> got;
+  std::thread peer([&] {
+    go.wait_for(10s);
+    got = read_raw_peer(fd, total, /*unpack=*/true);
+  });
+  auto slowest = std::chrono::steady_clock::duration::zero();
+  std::size_t most_buffered = 0;
+  for (std::uint32_t i = 1; i < total; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    batcher.enqueue(2, tagged_frame(i));
+    slowest = std::max(slowest, std::chrono::steady_clock::now() - t0);
+    most_buffered = std::max(most_buffered, batcher.buffered());
+  }
+  EXPECT_TRUE(ta.link_busy(1, 2)) << "the stalled writes keep the link busy";
+  go.set();
+  peer.join();
+  ta.set_idle_handler(1, nullptr);  // before the batcher goes
+  ::close(fd);
+  ::close(listener);
+
+  EXPECT_LT(slowest, 1s) << "enqueue blocked behind a full socket buffer";
+  EXPECT_LE(most_buffered, opts.max_frames);
+  EXPECT_GT(batcher.stats().batches_posted, 0u);
+  ASSERT_EQ(got.size(), total);
+  for (std::uint32_t i = 0; i < total; ++i) {
+    EXPECT_EQ(got[i], tagged_frame(i)) << "frame " << i << " torn or reordered";
+  }
+  EXPECT_EQ(batcher.buffered(), 0u);
+  EXPECT_EQ(ta.transport_stats().frames_lost, 0u);
+}
+
+/// One round of the batching teardown stress: a client and a server Node,
+/// both batching, with calls still in flight on odd rounds when everything
+/// is torn down. Idle notifications race ~Node, which must wait out a call
+/// still draining into its batcher before destroying it.
+void batching_node_round(Transport& client_t, Transport& server_t, int round) {
+  // Outlives both Nodes, so a late request finds a stopped object (typed
+  // refusal) rather than freed memory...
+  Object echo("Echo");
+  auto dbl = echo.define_entry({.name = "Double", .params = 1, .results = 1});
+  echo.implement(dbl, [](BodyCtx& ctx) -> ValueList {
+    return {Value(ctx.param(0).as_int() * 2)};
+  });
+  echo.start();
+  Node client(client_t, "client");
+  Node server(server_t, "server");
+  // ...and is stopped before them, so no body completes into a dead Node.
+  struct StopFirst {
+    Object& obj;
+    ~StopFirst() { obj.stop(); }
+  } stop_first{echo};
+  BatchOptions batch;
+  batch.max_frames = 4;
+  client.set_batching(batch);
+  server.set_batching(batch);
+  server.host(echo);
+  client_t.directory().add("Echo", server.id());
+  std::vector<RpcHandle> handles;
+  for (int i = 0; i < 8; ++i) {
+    handles.push_back(client.async_call("Echo", "Double", vals(i)));
+  }
+  if (round % 2 == 0) {
+    for (int i = 0; i < 8; ++i) {
+      auto r = handles[i].result();
+      ASSERT_TRUE(r.ok()) << r.error().what();
+      EXPECT_EQ(r.value()[0].as_int(), 2 * i);
+    }
+  }
+}
+
+TEST(Teardown, BatchingNodeSurvivesConstructDestroyStressOnBothBackends) {
+  for (int round = 0; round < 60; ++round) {
+    Network net(LinkLatency{0us, 20us}, static_cast<std::uint64_t>(round));
+    batching_node_round(net, net, round);
+  }
+  SocketPaths paths("bteardown");
+  for (int round = 0; round < 20; ++round) {
+    SocketTransport t1(uds_options(paths, 1, {1, 2}));
+    SocketTransport t2(uds_options(paths, 2, {1, 2}));
+    batching_node_round(t1, t2, round);
+  }
+}
+
+TEST(Teardown, RemovingTheIdleHandlerWaitsForARunningCall) {
+  // set_handler's contract, for idle handlers: the caller may destroy the
+  // handler's captures as soon as the removal returns. The link latency
+  // keeps the frame in flight long enough for link_busy to ask for the
+  // idle notification.
+  Network net(LinkLatency{20ms, 0us});
+  const NodeId a = net.add_node("a");
+  const NodeId b = net.add_node("b");
+  net.set_handler(b, [](NodeId, Buffer) {});
+  support::Event entered;
+  support::Event release;
+  std::atomic<bool> finished{false};
+  net.set_idle_handler(a, [&](NodeId dst) {
+    EXPECT_EQ(dst, b);
+    entered.set();
+    release.wait_for(30s);
+    finished = true;
+  });
+  net.post(Frame{a, b, {1}});  // its delivery leaves a → b idle
+  ASSERT_TRUE(net.link_busy(a, b));
+  ASSERT_TRUE(entered.wait_for(30s));
+  std::atomic<bool> removed{false};
+  std::thread remover([&] {
+    net.set_idle_handler(a, nullptr);
+    removed = true;
+  });
+  std::this_thread::sleep_for(50ms);
+  EXPECT_FALSE(removed.load()) << "returned while the handler still ran";
+  release.set();
+  remover.join();
+  EXPECT_TRUE(finished.load());
+  EXPECT_FALSE(net.link_busy(a, b));
 }
 
 TEST(SocketTransport, ConcurrentPostersKeepFifoAcrossBothWritePaths) {
