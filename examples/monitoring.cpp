@@ -38,7 +38,6 @@ int main() {
     Select()
         .on(accept_guard(print)
                 .when([&](const ValueList&) { return !free_printers.empty(); })
-                .always_reeval()  // reads the manager-local printer pool
                 .then([&](Accepted a) {
                   const auto printer = free_printers.front();
                   free_printers.pop_front();

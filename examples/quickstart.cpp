@@ -46,14 +46,12 @@ int main() {
     Select()
         .on(accept_guard(deposit)
                 .when([&](const ValueList&) { return count < kCapacity; })
-                .always_reeval()  // reads manager-local `count`
                 .then([&](Accepted a) {
                   m.execute(a);  // start; await; finish — in exclusion
                   ++count;
                 }))
         .on(accept_guard(remove)
                 .when([&](const ValueList&) { return count > 0; })
-                .always_reeval()
                 .then([&](Accepted a) {
                   m.execute(a);
                   --count;

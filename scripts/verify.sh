@@ -52,8 +52,8 @@ if [[ -n "$ignored" ]]; then
   exit 1
 fi
 
-echo "== tier-1: default build + full ctest, each test repeated 10x =="
-cmake -B build -S . >/dev/null
+echo "== tier-1: default build (warnings are errors) + full ctest, each test repeated 10x =="
+cmake -B build -S . -DALPS_WERROR=ON >/dev/null
 cmake --build build -j "$JOBS"
 (cd build && ctest --output-on-failure -j "$JOBS" --repeat until-fail:10)
 
@@ -82,7 +82,7 @@ SAN_SUITES=(
   core_supervision_test core_multiactive_test core_trace_test
   sched_executor_test sched_executor_stress_test
   net_test net_failure_test net_fault_test net_routing_test
-  net_socket_test
+  net_order_test net_socket_test
   codec_fuzz_test integration_test
 )
 

@@ -29,7 +29,6 @@ AlarmClock::AlarmClock(Options options)
                       return p[0].as_int() <= clock;
                     })
                     .pri([](const ValueList& p) { return p[0].as_int(); })
-                    .always_reeval()  // `when` reads manager-local `clock`
                     .then([&](Accepted a) { m.start(a); }))
             .on(await_guard(wake_).then([&](Awaited w) { m.finish(w); }))
             .on(accept_guard(tick_).then([&](Accepted a) {

@@ -35,14 +35,12 @@ BoundedBuffer::BoundedBuffer(Options options)
                     .when([this, &count](const ValueList&) {
                       return count < options_.capacity;
                     })
-                    .always_reeval()  // reads manager-local `count`
                     .then([&m, &count](Accepted a) {
                       m.execute(a);
                       ++count;
                     }))
             .on(accept_guard(remove_)
                     .when([&count](const ValueList&) { return count > 0; })
-                    .always_reeval()  // reads manager-local `count`
                     .then([&m, &count](Accepted a) {
                       m.execute(a);
                       --count;

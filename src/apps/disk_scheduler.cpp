@@ -43,7 +43,6 @@ DiskScheduler::DiskScheduler(Options options)
                       .pri([&head](const ValueList& p) {
                         return std::llabs(p[0].as_int() - head);
                       })
-                      .always_reeval()  // `pri` reads the moving `head`
                       .then([&](Accepted a) {
                         const std::int64_t cylinder = a.params[0].as_int();
                         m.execute(a, vals(head));  // disk is serial

@@ -77,7 +77,6 @@ ParallelBoundedBuffer::ParallelBoundedBuffer(Options options)
                     .when([&free_slots](const ValueList&) {
                       return !free_slots.empty();
                     })
-                    .always_reeval()  // reads manager-local free list
                     .then([&](Accepted a) {
                       const std::int64_t place = free_slots.front();
                       free_slots.pop_front();
@@ -91,7 +90,6 @@ ParallelBoundedBuffer::ParallelBoundedBuffer(Options options)
                     .when([&full_slots](const ValueList&) {
                       return !full_slots.empty();
                     })
-                    .always_reeval()  // reads manager-local full list
                     .then([&](Accepted a) {
                       const std::int64_t place = full_slots.front();
                       full_slots.pop_front();

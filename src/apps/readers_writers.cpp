@@ -87,7 +87,6 @@ ReadersWritersDb::ReadersWritersDb(Options options)
                       return (obj_.pending(write_) == 0 || writer_last) &&
                              read_count < options_.read_max;
                     })
-                    .always_reeval()  // reads #P and manager-local state
                     .then([&](Accepted a) {
                       m.start(a);
                       ++read_count;
@@ -102,7 +101,6 @@ ReadersWritersDb::ReadersWritersDb(Options options)
                       return read_count == 0 &&
                              (obj_.pending(read_) == 0 || !writer_last);
                     })
-                    .always_reeval()  // reads #P and manager-local state
                     .then([&](Accepted a) {
                       m.execute(a);  // writers run in exclusion
                       writer_last = true;

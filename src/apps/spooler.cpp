@@ -48,7 +48,6 @@ PrinterSpooler::PrinterSpooler(Options options)
                     .when([&free_printers](const ValueList&) {
                       return !free_printers.empty();
                     })
-                    .always_reeval()  // reads manager-local printer pool
                     .then([&](Accepted a) {
                       const std::int64_t printer = free_printers.front();
                       free_printers.pop_front();

@@ -199,9 +199,8 @@ void Object::spawn_manager() {
   manager_thread_ = std::jthread([this, gate] {
     gate->acquire();
     support::set_current_thread_name("mgr:" + name_);
-    if (opts_.boost_manager_priority) {
-      support::try_boost_priority();
-    }
+    // Best effort; the dedicated thread preserves the intent when it fails.
+    support::try_boost_priority();
     manager_thread_id_.store(std::this_thread::get_id(),
                              std::memory_order_release);
     Manager m(*this);

@@ -70,9 +70,6 @@ struct ObjectOptions {
   sched::ProcessModel model = sched::ProcessModel::kPooled;
   /// M, for the pooled model.
   std::size_t pool_workers = 4;
-  /// Attempt to raise the manager thread's scheduling priority (best effort;
-  /// the dedicated thread preserves the intent when this fails).
-  bool boost_manager_priority = true;
   /// What to do when the manager fails (see core/supervision.h). Fields are
   /// appended here so existing designated initializers keep compiling.
   SupervisionPolicy supervision{};

@@ -18,11 +18,10 @@ constexpr std::uint32_t kNoCacheSlot = 0xffffffffu;
 /// every pass unless the author vouches for purity with `.cacheable()` —
 /// a `when`/`pri` reading mutable state (the common `count < N` pattern)
 /// must keep working without any annotation. Closure-less guards have a
-/// state-independent verdict and always cache. `.always_reeval()` wins
-/// over everything.
+/// state-independent verdict and always cache.
 template <typename Guard>
 bool effective_reeval(const Guard& g) {
-  return g.reeval || ((g.when_fn || g.pri_fn) && !g.cache);
+  return (g.when_fn || g.pri_fn) && !g.cache;
 }
 
 }  // namespace
@@ -34,10 +33,10 @@ Select& Select::on(AcceptGuard g) {
   GuardRec rec;
   rec.kind = Kind::kAccept;
   rec.entry = g.entry;
+  rec.reeval = effective_reeval(g);  // before the closures move out of g
   rec.when_v = std::move(g.when_fn);
   rec.pri_v = std::move(g.pri_fn);
   rec.on_accept = std::move(g.then_fn);
-  rec.always_reeval = effective_reeval(g);
   rec.compat_gate = g.compat_gate;
   guards_.push_back(std::move(rec));
   return *this;
@@ -47,10 +46,10 @@ Select& Select::on(AwaitGuard g) {
   GuardRec rec;
   rec.kind = Kind::kAwait;
   rec.entry = g.entry;
+  rec.reeval = effective_reeval(g);  // before the closures move out of g
   rec.when_v = std::move(g.when_fn);
   rec.pri_v = std::move(g.pri_fn);
   rec.on_await = std::move(g.then_fn);
-  rec.always_reeval = effective_reeval(g);
   guards_.push_back(std::move(rec));
   return *this;
 }
@@ -59,10 +58,10 @@ Select& Select::on(ReceiveGuard g) {
   GuardRec rec;
   rec.kind = Kind::kReceive;
   rec.channel = std::move(g.channel);
+  rec.reeval = effective_reeval(g);  // before the closures move out of g
   rec.when_v = std::move(g.when_fn);
   rec.pri_v = std::move(g.pri_fn);
   rec.on_receive = std::move(g.then_fn);
-  rec.always_reeval = effective_reeval(g);
   guards_.push_back(std::move(rec));
   return *this;
 }
@@ -73,7 +72,7 @@ Select& Select::on(WhenGuard g) {
   rec.when_b = std::move(g.cond);
   rec.pri_b = std::move(g.pri_fn);
   rec.on_when = std::move(g.then_fn);
-  rec.always_reeval = true;  // reads arbitrary state by construction
+  rec.reeval = true;  // reads arbitrary state by construction
   guards_.push_back(std::move(rec));
   return *this;
 }
@@ -288,7 +287,7 @@ void Select::sync_guard(Object* obj, std::size_t gi, bool invalidated) {
         if (!st.gate_open) {
           // Reopened: deltas were skipped while closed — full member rescan.
           st.gate_open = true;
-          const bool rescan_force = g.always_reeval || invalidated;
+          const bool rescan_force = g.reeval || invalidated;
           for (std::size_t i = q.front(); i != kNoSlot;
                i = e.slots[i].q_next) {
             consider_slot(gi, obj, i, rescan_force);
@@ -299,7 +298,7 @@ void Select::sync_guard(Object* obj, std::size_t gi, bool invalidated) {
         }
         // Gate open and was open: fall through to the normal delta path.
       }
-      const bool force = g.always_reeval || !st.primed || invalidated;
+      const bool force = g.reeval || !st.primed || invalidated;
       if (!force) {
         if (st.src_gen == q.log_gen) return;  // source unchanged: all cached
         const std::uint64_t behind = q.log_gen - st.src_gen;
@@ -348,7 +347,7 @@ void Select::sync_guard(Object* obj, std::size_t gi, bool invalidated) {
     case Kind::kReceive: {
       if (st.slots.empty()) st.slots.resize(1);
       const std::uint64_t fg = g.channel->front_gen();
-      const bool force = g.always_reeval || !st.primed || invalidated;
+      const bool force = g.reeval || !st.primed || invalidated;
       if (!force && st.src_gen == fg) {
         // Same front message; re-insert if the entry was consumed by a
         // commit that raced away.

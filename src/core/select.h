@@ -67,7 +67,6 @@ struct AcceptGuard {
   ValuePred when_fn;
   ValuePri pri_fn;
   std::function<void(Accepted)> then_fn;
-  bool reeval = false;
   bool cache = false;
   bool compat_gate = false;
 
@@ -100,13 +99,6 @@ struct AcceptGuard {
     cache = true;
     return std::move(*this);
   }
-  /// Forces re-evaluation on every pass even for a guard the selector could
-  /// cache (e.g. one with no closures). This is already the default for
-  /// guards with `when`/`pri` closures; it overrides `.cacheable()`.
-  AcceptGuard&& always_reeval() && {
-    reeval = true;
-    return std::move(*this);
-  }
   AcceptGuard&& then(std::function<void(Accepted)> h) && {
     then_fn = std::move(h);
     return std::move(*this);
@@ -118,7 +110,6 @@ struct AwaitGuard {
   ValuePred when_fn;
   ValuePri pri_fn;
   std::function<void(Awaited)> then_fn;
-  bool reeval = false;
   bool cache = false;
 
   AwaitGuard&& when(ValuePred p) && {
@@ -134,10 +125,6 @@ struct AwaitGuard {
     cache = true;
     return std::move(*this);
   }
-  AwaitGuard&& always_reeval() && {
-    reeval = true;
-    return std::move(*this);
-  }
   AwaitGuard&& then(std::function<void(Awaited)> h) && {
     then_fn = std::move(h);
     return std::move(*this);
@@ -149,7 +136,6 @@ struct ReceiveGuard {
   ValuePred when_fn;
   ValuePri pri_fn;
   std::function<void(ValueList)> then_fn;
-  bool reeval = false;
   bool cache = false;
 
   ReceiveGuard&& when(ValuePred p) && {
@@ -163,10 +149,6 @@ struct ReceiveGuard {
   /// See AcceptGuard::cacheable.
   ReceiveGuard&& cacheable() && {
     cache = true;
-    return std::move(*this);
-  }
-  ReceiveGuard&& always_reeval() && {
-    reeval = true;
     return std::move(*this);
   }
   ReceiveGuard&& then(std::function<void(ValueList)> h) && {
@@ -251,7 +233,7 @@ class Select {
     std::function<void(ValueList)> on_receive;
     std::function<void()> on_when;
     /// Closures read mutable state: never skip them via the cache.
-    bool always_reeval = false;
+    bool reeval = false;
     /// Accept guard gated on the entry's compat group (see
     /// AcceptGuard::compatible).
     bool compat_gate = false;

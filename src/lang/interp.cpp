@@ -448,8 +448,8 @@ void exec_guarded(const Stmt& stmt, Env& env, Frame& frame, Object* obj,
           });
         }
         // Interpreted conditions read the live manager environment (any
-        // variable may change between selections): never cache them.
-        if (g.when || g.pri) ag = std::move(ag).always_reeval();
+        // variable may change between selections); left uncacheable, the
+        // selector re-evaluates them on every pass.
         const Guard* guard = &g;
         ag = std::move(ag).then([guard, &env, &frame, obj, &ms,
                                  entry_idx](Accepted a) {
@@ -490,7 +490,6 @@ void exec_guarded(const Stmt& stmt, Env& env, Frame& frame, Object* obj,
             return eval(*raw, chain, obj).as_int();
           });
         }
-        if (g.when || g.pri) wg = std::move(wg).always_reeval();
         const Guard* guard = &g;
         wg = std::move(wg).then([guard, &env, &frame, obj, &ms,
                                  entry_idx](Awaited w) {
@@ -535,7 +534,6 @@ void exec_guarded(const Stmt& stmt, Env& env, Frame& frame, Object* obj,
             return eval(*raw, chain, obj).as_int();
           });
         }
-        if (g.when || g.pri) rg = std::move(rg).always_reeval();
         const Guard* guard = &g;
         rg = std::move(rg).then([guard, &env, &frame, obj, &ms](ValueList msg) {
           for (std::size_t i = 0;

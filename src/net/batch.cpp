@@ -73,10 +73,6 @@ void FrameBatcher::drain(NodeId dst, LinkBuffer& buf,
   buf.flush = false;
 }
 
-void FrameBatcher::enqueue(NodeId dst, std::vector<std::uint8_t> payload) {
-  enqueue(dst, FrameBuilder::from_bytes(std::move(payload)));
-}
-
 void FrameBatcher::enqueue(NodeId dst, FrameBuilder frame) {
   std::unique_lock lock(mu_);
   LinkBuffer& buf = buffers_[dst];

@@ -89,8 +89,6 @@ class FrameBatcher {
   /// carried by reference into a batch envelope and written once, at the
   /// envelope's single build.
   void enqueue(NodeId dst, FrameBuilder frame);
-  /// Pre-encoded frame (adopted without a byte copy).
-  void enqueue(NodeId dst, std::vector<std::uint8_t> payload);
 
   /// The transport's "link went idle" notification for `dst`: what
   /// coalesced behind the finished write leaves now, as one envelope.

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "core/error.h"
+#include "net/codec.h"
 #include "net/directory.h"
 #include "support/thread_util.h"
 
@@ -182,6 +183,10 @@ bool Network::remove_peer(NodeId id) {
   directory().remove_node(id);
   notify_membership(id, false);
   return true;
+}
+
+void Network::post(NodeId src, NodeId dst, FrameBuilder frame) {
+  post(Frame{src, dst, frame.build()});
 }
 
 void Network::post(Frame frame) {

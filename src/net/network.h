@@ -58,6 +58,15 @@ struct SimFaultStats {
   std::uint64_t frames_reordered = 0;   ///< frames that escaped the FIFO clamp
 };
 
+/// One frame as the simulation schedules it: flattened payload bytes from
+/// src to dst. Also the unit of raw injection (Network::post(Frame)), which
+/// fault tests use to put hand-made or corrupt bytes on a link.
+struct Frame {
+  NodeId src = 0;
+  NodeId dst = 0;
+  std::vector<std::uint8_t> payload;
+};
+
 /// A set of nodes plus a delivery thread. Handlers run on the delivery
 /// thread and must not block for long (the RPC layer's handlers only
 /// enqueue kernel work).
@@ -84,10 +93,14 @@ class Network final : public Transport {
 
   void set_default_latency(LinkLatency latency);
 
-  /// Schedules delivery of `frame` after the link's latency. Frames to the
-  /// sender itself are delivered through the same path (loopback latency).
-  void post(Frame frame) override;
-  using Transport::post;  // scatter-gather overload (flattens via build())
+  /// Flattens `frame` with build() — the sim's single gather — and
+  /// schedules it as post(Frame) does.
+  void post(NodeId src, NodeId dst, FrameBuilder frame) override;
+
+  /// Schedules delivery of raw bytes after the link's latency, subject to
+  /// the injected faults. Frames to the sender itself are delivered through
+  /// the same path (loopback latency).
+  void post(Frame frame);
 
   // ---- failure injection (experiments & tests) ----
 

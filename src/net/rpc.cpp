@@ -194,7 +194,7 @@ void Node::set_batching(const BatchOptions& options) {
       [this](NodeId dst, FrameBuilder frame) {
         // Flushes stay in scatter-gather form all the way to the transport,
         // so batch envelopes ride a socket backend's writev path too.
-        transport_->post(id_, dst, frame);
+        transport_->post(id_, dst, std::move(frame));
       },
       [this](NodeId dst) { return transport_->link_busy(id_, dst); });
   batcher_raw_.store(batcher_.get(), std::memory_order_release);
@@ -243,15 +243,7 @@ void Node::post_frame(NodeId dst, FrameBuilder frame) {
     b->enqueue(dst, std::move(frame));
     return;
   }
-  transport_->post(id_, dst, frame);
-}
-
-void Node::post_frame(NodeId dst, std::vector<std::uint8_t> payload) {
-  if (auto* b = batcher_raw_.load(std::memory_order_acquire)) {
-    b->enqueue(dst, std::move(payload));
-    return;
-  }
-  transport_->post(Frame{id_, dst, std::move(payload)});
+  transport_->post(id_, dst, std::move(frame));
 }
 
 void Node::export_channel(const ChannelRef& channel) {
@@ -442,10 +434,9 @@ std::uint64_t Node::ack_watermark_locked(NodeId target) const {
   return ack;
 }
 
-std::vector<std::uint8_t> Node::finish_pending_locked(std::uint64_t req_id,
-                                                      NodeId target) {
+FrameBuilder Node::finish_pending_locked(std::uint64_t req_id, NodeId target) {
   pending_.erase(req_id);
-  std::vector<std::uint8_t> ack;
+  FrameBuilder ack;
   auto oit = outstanding_.find(target);
   if (oit != outstanding_.end()) {
     oit->second.erase(req_id);
@@ -535,7 +526,7 @@ void Node::cancel_request(std::uint64_t req_id) {
   std::shared_ptr<CallState> state;
   std::string label;
   NodeId target = 0;
-  std::vector<std::uint8_t> ack;
+  FrameBuilder ack;
   {
     std::scoped_lock lock(mu_);
     auto it = pending_.find(req_id);
@@ -581,7 +572,7 @@ void Node::dispatch_payload(NodeId from, const Buffer& payload,
         // Members dispatch in order, preserving the link's FIFO semantics.
         // Each member is its own dispatch: one malformed member is dropped
         // without taking down its batch-mates.
-        const auto members = decode_batch_slices(payload, pos);
+        const auto members = decode_batch(payload, pos);
         for (const auto& member : members) {
           dispatch_payload(from, member, /*batched=*/true);
         }
@@ -601,7 +592,7 @@ void Node::handle_wrong_node(NodeId /*from*/, const Buffer& payload,
   std::shared_ptr<CallState> failed_state;
   std::string failed_what;
   int failed_attempts = 1;
-  std::vector<std::uint8_t> ack;
+  FrameBuilder ack;
   NodeId ack_target = 0;
   FrameBuilder resend;
   {
@@ -772,7 +763,7 @@ void Node::handle_request(NodeId from, const Buffer& payload,
   // out when the body finishes). Only a first arrival of a locally hosted
   // object dispatches — misrouted requests leave no dedup state at all.
   FrameBuilder replay;
-  std::vector<std::uint8_t> reject;
+  FrameBuilder reject;
   bool in_flight_dup = false;
   Object* object = nullptr;
   {
@@ -814,9 +805,9 @@ void Node::handle_request(NodeId from, const Buffer& payload,
       ++server_stats_.dedup_rejected;
       encode_response_header(
           ResponseHeader{header.req_id, WireCause::kRemoteError, 0}, reject);
-      put_string(reject,
-                 "at-most-once entry evicted under the per-caller bound; "
-                 "result unknown, refusing to re-execute");
+      reject.put_string(
+          "at-most-once entry evicted under the per-caller bound; "
+          "result unknown, refusing to re-execute");
     } else if (auto hit = hosted_.find(header.object);
                hit != hosted_.end() && owner) {
       object = hit->second;
@@ -839,7 +830,7 @@ void Node::handle_request(NodeId from, const Buffer& payload,
     return;
   }
   if (!object) {
-    std::vector<std::uint8_t> out;
+    FrameBuilder out;
     if (decision && decision->home != id_) {
       // The directory knows a better home for this key: redirect instead of
       // failing, so a stale client route heals in one extra hop. The hint
@@ -855,7 +846,7 @@ void Node::handle_request(NodeId from, const Buffer& payload,
     } else {
       encode_response_header(
           ResponseHeader{header.req_id, WireCause::kObjectNotFound, 0}, out);
-      put_string(out, "no such object: " + header.object);
+      out.put_string("no such object: " + header.object);
     }
     post_frame(from, std::move(out));
     return;
@@ -949,7 +940,7 @@ void Node::handle_response(NodeId from, const Buffer& payload,
   }
   std::shared_ptr<CallState> state;
   int attempts = 1;
-  std::vector<std::uint8_t> ack;
+  FrameBuilder ack;
   {
     std::scoped_lock lock(mu_);
     auto it = pending_.find(header.req_id);

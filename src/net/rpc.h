@@ -404,7 +404,6 @@ class Node : public ChannelResolver {
   /// writes the segments directly; the sim builds once). Never called with
   /// mu_ held.
   void post_frame(NodeId dst, FrameBuilder frame);
-  void post_frame(NodeId dst, std::vector<std::uint8_t> payload);
 
   /// The ack watermark safe to piggyback on a frame to `target`: no req_id
   /// at or below it will ever be retransmitted. Per-target progress capped
@@ -429,8 +428,7 @@ class Node : public ChannelResolver {
   void retire_batcher();
   /// Removes client bookkeeping for req_id; returns an ack frame to post
   /// (empty if none is due). Caller holds mu_.
-  std::vector<std::uint8_t> finish_pending_locked(std::uint64_t req_id,
-                                                  NodeId target);
+  FrameBuilder finish_pending_locked(std::uint64_t req_id, NodeId target);
   void evict_dedup_locked(CallerTable& table, std::uint64_t ack_through);
 
   Transport* transport_;

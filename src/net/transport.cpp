@@ -1,16 +1,10 @@
 #include "net/transport.h"
 
+#include <vector>
+
 #include "core/error.h"
-#include "net/codec.h"
 
 namespace alps::net {
-
-void Transport::post(NodeId src, NodeId dst, const FrameBuilder& frame) {
-  // Generic fallback: flatten the scatter-gather list into one contiguous
-  // payload. This is the data plane's single gather (bytes_assembled);
-  // stream transports override to skip it.
-  post(Frame{src, dst, frame.build()});
-}
 
 void Transport::add_peer(NodeId id, const std::string& name,
                          const std::string& address) {

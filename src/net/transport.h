@@ -2,10 +2,12 @@
 //
 // The paper's ALPS kernel ran on a 16-node transputer network (§4): objects
 // on distinct nodes, entry calls crossing real links. This interface is the
-// seam that makes that claim testable both ways. A Transport moves opaque
-// frame payloads between named nodes and delivers them, asynchronously, to
-// per-node handlers; everything above it (rpc.h) — retries, at-most-once
-// dedup, routing, batching — is transport-agnostic by construction. Two
+// seam that makes that claim testable both ways. A Transport moves frames
+// between named nodes and delivers them, asynchronously, to per-node
+// handlers. A frame is posted in the one form every encoder produces, the
+// codec's scatter-gather FrameBuilder, and delivered as an owned Buffer.
+// Everything above the seam (rpc.h) — retries, at-most-once dedup,
+// routing, batching — is transport-agnostic by construction. Two
 // implementations ship:
 //
 //   * net::Network (network.h) — the in-process simulation. Deterministic
@@ -40,7 +42,6 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "core/buffer.h"
 
@@ -50,16 +51,6 @@ using NodeId = std::uint64_t;
 
 class Directory;
 class FrameBuilder;
-
-/// One point-to-point message: an opaque payload from src to dst. The
-/// payload is a contiguous byte vector here; the scatter-gather post
-/// overload below avoids ever materializing it on transports that can
-/// write a slice list directly.
-struct Frame {
-  NodeId src = 0;
-  NodeId dst = 0;
-  std::vector<std::uint8_t> payload;
-};
 
 /// Transport-agnostic traffic accounting — one shape for both backends, so
 /// benches and tests read the same fields over the sim and over sockets.
@@ -102,15 +93,13 @@ class Transport {
   /// deregistering caller (~Node) can safely destroy the captures.
   virtual void set_handler(NodeId node, Handler handler) = 0;
 
-  /// Posts one frame for asynchronous delivery. Never blocks on the remote
-  /// end; loss is silent (counted in stats), exactly as a datagram network.
-  virtual void post(Frame frame) = 0;
-
-  /// Scatter-gather post: the frame still in FrameBuilder form. The default
-  /// flattens via build() (the sim's single gather); stream transports
-  /// override it to write the slice list directly — no contiguous frame is
-  /// ever assembled, so data-plane `bytes_assembled` stays at zero.
-  virtual void post(NodeId src, NodeId dst, const FrameBuilder& frame);
+  /// Posts one frame src → dst for asynchronous delivery. Never blocks on
+  /// the remote end; loss is silent (counted in stats), exactly as a
+  /// datagram network. The frame is moved in, still in scatter-gather
+  /// form: a stream transport writes its slice list directly (no
+  /// contiguous frame is ever assembled, so data-plane `bytes_assembled`
+  /// stays at zero); the sim flattens it once with build().
+  virtual void post(NodeId src, NodeId dst, FrameBuilder frame) = 0;
 
   virtual TransportStats transport_stats() const = 0;
 

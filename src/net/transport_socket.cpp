@@ -130,7 +130,7 @@ SocketTransport::SocketTransport(SocketTransportOptions options)
   hello.version = options_.protocol_version;
   hello.node = options_.local_node;
   hello.token = options_.cluster_token;
-  encode_hello(hello, hello_bytes_);
+  encode_hello(hello, hello_);
 
   // Initial membership: one PeerLink per configured peer, sender threads
   // started lazily on first traffic (connect-on-demand). add_peer /
@@ -342,34 +342,21 @@ bool SocketTransport::remove_peer(NodeId id) {
 
 // ---- send path -------------------------------------------------------------
 
-void SocketTransport::post(Frame frame) {
-  {
-    std::scoped_lock lock(mu_);
-    ++stats_.frames_posted;
-    stats_.bytes_posted += frame.payload.size();
-  }
-  if (frame.dst == options_.local_node) {
-    // Loopback: delivered inline on the posting thread (the sim routes this
-    // through its delivery thread instead; handlers never block long, so
-    // inline is safe and keeps the no-self-connection invariant).
-    deliver(frame.src, Buffer::adopt(std::move(frame.payload)));
-    return;
-  }
-  enqueue(frame.dst, FrameBuilder::from_bytes(std::move(frame.payload)));
-}
-
-void SocketTransport::post(NodeId src, NodeId dst, const FrameBuilder& frame) {
+void SocketTransport::post(NodeId src, NodeId dst, FrameBuilder frame) {
   {
     std::scoped_lock lock(mu_);
     ++stats_.frames_posted;
     stats_.bytes_posted += frame.size();
   }
   if (dst == options_.local_node) {
-    // Loopback never touches the wire, so it pays the ordinary gather.
+    // Loopback: delivered inline on the posting thread (the sim routes this
+    // through its delivery thread instead; handlers never block long, so
+    // inline is safe and keeps the no-self-connection invariant). It never
+    // touches the wire, so it pays the ordinary gather.
     deliver(src, Buffer::adopt(frame.build()));
     return;
   }
-  enqueue(dst, frame);
+  enqueue(dst, std::move(frame));
 }
 
 void SocketTransport::enqueue(NodeId dst, FrameBuilder frame) {
@@ -615,9 +602,14 @@ SocketTransport::WriteResult SocketTransport::write_frame(
 }
 
 bool SocketTransport::send_hello(int fd) {
+  // Handshake bytes, not a frame: no chunk header, and no data-plane
+  // counters flushed (segments() leaves them alone).
+  std::vector<FrameBuilder::Segment> segments;
+  hello_.segments(segments);
   std::vector<iovec> iov;
-  iov.push_back(iovec{const_cast<std::uint8_t*>(hello_bytes_.data()),
-                      hello_bytes_.size()});
+  for (const auto& s : segments) {
+    iov.push_back(iovec{const_cast<void*>(s.data), s.size});
+  }
   std::size_t idx = 0;
   return send_iov(fd, iov, idx, 0) >= 0;  // blocking: all or an error
 }

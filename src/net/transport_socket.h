@@ -154,11 +154,10 @@ class SocketTransport final : public Transport {
 
   void set_handler(NodeId node, Handler handler) override;
 
-  void post(Frame frame) override;
-  /// Scatter-gather post: the segment list goes to sendmsg as-is, never
-  /// assembled — written on this thread when the link is idle, else queued
-  /// in builder form for the sender thread. Never blocks.
-  void post(NodeId src, NodeId dst, const FrameBuilder& frame) override;
+  /// The segment list goes to sendmsg as-is, never assembled — written on
+  /// this thread when the link is idle, else queued in builder form for the
+  /// sender thread. Never blocks.
+  void post(NodeId src, NodeId dst, FrameBuilder frame) override;
 
   TransportStats transport_stats() const override;
   Directory& directory() override { return directory_; }
@@ -317,7 +316,7 @@ class SocketTransport final : public Transport {
   std::shared_ptr<PeerLink> find_link(NodeId id) const;
 
   SocketTransportOptions options_;
-  std::vector<std::uint8_t> hello_bytes_;  ///< our encoded HELLO, immutable
+  FrameBuilder hello_;  ///< our encoded HELLO, immutable
   Directory directory_;
 
   mutable std::mutex mu_;

@@ -61,8 +61,9 @@ TEST_P(CodecFuzz, RandomTreesRoundTripExactly) {
     for (std::uint64_t i = 0; i < n; ++i) {
       original.push_back(random_value(rng, 3));
     }
-    std::vector<std::uint8_t> buf;
-    encode_list(original, buf);
+    FrameBuilder fb;
+    encode_list(original, fb);
+    const auto buf = fb.build();
     std::size_t pos = 0;
     ValueList decoded = decode_list(buf, pos);
     EXPECT_EQ(pos, buf.size());
@@ -74,8 +75,9 @@ TEST_P(CodecFuzz, EveryTruncationRejectedOrConsistent) {
   support::Rng rng(GetParam() + 1000);
   ValueList original;
   for (int i = 0; i < 4; ++i) original.push_back(random_value(rng, 2));
-  std::vector<std::uint8_t> buf;
-  encode_list(original, buf);
+  FrameBuilder fb;
+  encode_list(original, fb);
+  const auto buf = fb.build();
   for (std::size_t cut = 0; cut < buf.size(); ++cut) {
     std::vector<std::uint8_t> shorter(buf.begin(),
                                       buf.begin() + static_cast<std::ptrdiff_t>(cut));
@@ -88,8 +90,9 @@ TEST_P(CodecFuzz, SingleByteCorruptionNeverCrashes) {
   support::Rng rng(GetParam() + 2000);
   ValueList original;
   for (int i = 0; i < 4; ++i) original.push_back(random_value(rng, 2));
-  std::vector<std::uint8_t> buf;
-  encode_list(original, buf);
+  FrameBuilder fb;
+  encode_list(original, fb);
+  const auto buf = fb.build();
   for (int trial = 0; trial < 100; ++trial) {
     auto corrupted = buf;
     const auto at = rng.next_below(corrupted.size());
@@ -112,7 +115,8 @@ TEST_P(CodecFuzz, SingleByteCorruptionNeverCrashes) {
 // string inside a 20-byte frame. Every decode path must reject it with a
 // typed kBadMessage — never resize/reserve to the claimed length first.
 
-void expect_bad_message(const std::vector<std::uint8_t>& buf) {
+void expect_bad_message(const FrameBuilder& frame) {
+  const auto buf = frame.build();
   std::size_t pos = 0;
   try {
     (void)decode_list(buf, pos);
@@ -123,38 +127,38 @@ void expect_bad_message(const std::vector<std::uint8_t>& buf) {
 }
 
 TEST(CodecHostile, OversizedStringLengthRejected) {
-  std::vector<std::uint8_t> buf;
-  put_u32(buf, 1);  // one element
-  put_u8(buf, static_cast<std::uint8_t>(ValueKind::kString));
-  put_u32(buf, 0xFFFFFFFFu);  // claims 4 GB of chars
-  put_string(buf, "tiny");    // actual bytes: far fewer
-  expect_bad_message(buf);
+  FrameBuilder fb;
+  fb.put_u32(1);  // one element
+  fb.put_u8(static_cast<std::uint8_t>(ValueKind::kString));
+  fb.put_u32(0xFFFFFFFFu);  // claims 4 GB of chars
+  fb.put_string("tiny");    // actual bytes: far fewer
+  expect_bad_message(fb);
 }
 
 TEST(CodecHostile, OversizedBlobLengthRejected) {
-  std::vector<std::uint8_t> buf;
-  put_u32(buf, 1);
-  put_u8(buf, static_cast<std::uint8_t>(ValueKind::kBlob));
-  put_u32(buf, 0x7FFFFFFFu);
-  put_u8(buf, 0xAB);  // one actual byte
-  expect_bad_message(buf);
+  FrameBuilder fb;
+  fb.put_u32(1);
+  fb.put_u8(static_cast<std::uint8_t>(ValueKind::kBlob));
+  fb.put_u32(0x7FFFFFFFu);
+  fb.put_u8(0xAB);  // one actual byte
+  expect_bad_message(fb);
 }
 
 TEST(CodecHostile, OversizedListCountRejected) {
-  std::vector<std::uint8_t> buf;
-  put_u32(buf, 0xFFFFFF00u);  // count far beyond the remaining bytes
-  expect_bad_message(buf);
+  FrameBuilder fb;
+  fb.put_u32(0xFFFFFF00u);  // count far beyond the remaining bytes
+  expect_bad_message(fb);
 }
 
 TEST(CodecHostile, OversizedLengthAgainstOwnedFrameRejected) {
   // The aliasing path (owned input) takes a different branch than borrowed
   // views; the guard must hold there too.
-  std::vector<std::uint8_t> raw;
-  put_u32(raw, 1);
-  put_u8(raw, static_cast<std::uint8_t>(ValueKind::kBlob));
-  put_u32(raw, 0xFFFF0000u);
-  for (int i = 0; i < 16; ++i) put_u8(raw, 0x55);
-  Buffer frame = Buffer::adopt(std::move(raw));
+  FrameBuilder raw;
+  raw.put_u32(1);
+  raw.put_u8(static_cast<std::uint8_t>(ValueKind::kBlob));
+  raw.put_u32(0xFFFF0000u);
+  for (int i = 0; i < 16; ++i) raw.put_u8(0x55);
+  Buffer frame = Buffer::adopt(raw.build());
   std::size_t pos = 0;
   try {
     (void)decode_list(frame, pos);
@@ -165,8 +169,9 @@ TEST(CodecHostile, OversizedLengthAgainstOwnedFrameRejected) {
 }
 
 TEST(CodecHostile, OversizedHeaderStringRejected) {
-  std::vector<std::uint8_t> buf;
-  encode_request_header(RequestHeader{1, 2, 3, 0, "Dict", "Get"}, buf);
+  FrameBuilder fb;
+  encode_request_header(RequestHeader{1, 2, 3, 0, "Dict", "Get"}, fb);
+  auto buf = fb.build();
   // The object-name length prefix sits right after the four u64 fields.
   const std::size_t name_len_at = 1 + 8 * 4;
   buf[name_len_at + 3] = 0xFF;  // now claims a ~4 GB object name
@@ -178,8 +183,9 @@ TEST(CodecHostile, ZeroLengthStringAndBlobRoundTrip) {
   // Degenerate-but-legal payloads must survive, not be confused with the
   // hostile cases above.
   ValueList original{Value(std::string()), Value(Blob{})};
-  std::vector<std::uint8_t> buf;
-  encode_list(original, buf);
+  FrameBuilder fb;
+  encode_list(original, fb);
+  const auto buf = fb.build();
   std::size_t pos = 0;
   ValueList decoded = decode_list(buf, pos);
   EXPECT_EQ(pos, buf.size());
@@ -189,10 +195,11 @@ TEST(CodecHostile, ZeroLengthStringAndBlobRoundTrip) {
 }
 
 TEST(CodecHostile, ZeroLengthBatchMemberRejected) {
-  std::vector<std::uint8_t> buf;
-  put_u8(buf, static_cast<std::uint8_t>(MsgType::kBatch));
-  put_u32(buf, 1);  // one member...
-  put_u32(buf, 0);  // ...of zero bytes (no type byte — meaningless)
+  FrameBuilder fb;
+  fb.put_u8(static_cast<std::uint8_t>(MsgType::kBatch));
+  fb.put_u32(1);  // one member...
+  fb.put_u32(0);  // ...of zero bytes (no type byte — meaningless)
+  const auto buf = fb.build();
   std::size_t pos = 1;
   try {
     (void)decode_batch(buf, pos);
@@ -203,15 +210,37 @@ TEST(CodecHostile, ZeroLengthBatchMemberRejected) {
 }
 
 TEST(CodecHostile, OversizedBatchMemberLengthRejected) {
-  std::vector<std::uint8_t> member;
-  encode_ack(5, member);
-  std::vector<std::uint8_t> buf;
-  put_u8(buf, static_cast<std::uint8_t>(MsgType::kBatch));
-  put_u32(buf, 1);
-  put_u32(buf, 0xFFFFFFF0u);  // claimed member length >> remaining bytes
-  buf.insert(buf.end(), member.begin(), member.end());
+  FrameBuilder fb;
+  fb.put_u8(static_cast<std::uint8_t>(MsgType::kBatch));
+  fb.put_u32(1);
+  fb.put_u32(0xFFFFFFF0u);  // claimed member length >> remaining bytes
+  encode_ack(5, fb);
+  const auto buf = fb.build();
   std::size_t pos = 1;
-  EXPECT_THROW((void)decode_batch_slices(buf, pos), Error);
+  EXPECT_THROW((void)decode_batch(buf, pos), Error);
+}
+
+TEST(CodecHostile, BatchCountBeyondOneFifthOfTheFrameRejected) {
+  // Every member costs at least a 4-byte length and a type byte, so a
+  // count above remaining/5 cannot fit. It must be refused before the
+  // decoder reserves that many member slots: in a 64 MiB stream frame an
+  // unchecked count reserves gigabytes.
+  FrameBuilder fb;
+  fb.put_u8(static_cast<std::uint8_t>(MsgType::kBatch));
+  const std::size_t remaining = 100;
+  fb.put_u32(static_cast<std::uint32_t>(remaining / 5 + 1));
+  for (std::size_t i = 0; i < remaining; ++i) fb.put_u8(0);
+  const auto buf = fb.build();
+  std::size_t pos = 1;
+  try {
+    (void)decode_batch(buf, pos);
+    FAIL() << "impossible batch count decoded";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kBadMessage);
+    EXPECT_NE(std::string(e.what()).find("batch count exceeds frame size"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // ---- RPC frame headers (request/response/ack) ------------------------------
@@ -238,13 +267,14 @@ void decode_response_frame(const std::vector<std::uint8_t>& buf) {
 
 TEST_P(CodecFuzz, RequestFrameTruncationsRejected) {
   support::Rng rng(GetParam() + 3000);
-  std::vector<std::uint8_t> buf;
+  FrameBuilder fb;
   encode_request_header(RequestHeader{rng.next(), rng.next(), rng.next(),
                                       rng.next(), "Dictionary", "Insert"},
-                        buf);
+                        fb);
   ValueList params;
   for (int i = 0; i < 3; ++i) params.push_back(random_value(rng, 2));
-  encode_list(params, buf);
+  encode_list(params, fb);
+  const auto buf = fb.build();
   ASSERT_NO_THROW(decode_request_frame(buf));
   for (std::size_t cut = 0; cut < buf.size(); ++cut) {
     std::vector<std::uint8_t> shorter(
@@ -255,12 +285,13 @@ TEST_P(CodecFuzz, RequestFrameTruncationsRejected) {
 
 TEST_P(CodecFuzz, ResponseFrameTruncationsRejected) {
   support::Rng rng(GetParam() + 4000);
-  std::vector<std::uint8_t> buf;
+  FrameBuilder fb;
   encode_response_header(
-      ResponseHeader{rng.next(), WireCause::kOk, kResponseFlagReplayed}, buf);
+      ResponseHeader{rng.next(), WireCause::kOk, kResponseFlagReplayed}, fb);
   ValueList results;
   for (int i = 0; i < 2; ++i) results.push_back(random_value(rng, 2));
-  encode_list(results, buf);
+  encode_list(results, fb);
+  const auto buf = fb.build();
   ASSERT_NO_THROW(decode_response_frame(buf));
   for (std::size_t cut = 0; cut < buf.size(); ++cut) {
     std::vector<std::uint8_t> shorter(
@@ -270,8 +301,9 @@ TEST_P(CodecFuzz, ResponseFrameTruncationsRejected) {
 }
 
 TEST_P(CodecFuzz, AckTruncationsRejected) {
-  std::vector<std::uint8_t> buf;
-  encode_ack(GetParam() * 7919u, buf);
+  FrameBuilder fb;
+  encode_ack(GetParam() * 7919u, fb);
+  const auto buf = fb.build();
   std::size_t pos = 1;  // past the type byte
   EXPECT_EQ(decode_ack(buf, pos), GetParam() * 7919u);
   for (std::size_t cut = 1; cut < buf.size(); ++cut) {
@@ -293,15 +325,15 @@ TEST_P(CodecFuzz, RequestFlagsSurviveTheRoundTrip) {
   const RequestHeader original{rng.next(), rng.next(), rng.next(),
                                rng.next(), "Dict",     "Get",
                                flags};
-  std::vector<std::uint8_t> buf;
-  encode_request_header(original, buf);
+  FrameBuilder fb;
+  encode_request_header(original, fb);
+  const auto buf = fb.build();
   std::size_t pos = 1;  // past the type byte
   EXPECT_EQ(decode_request_header(buf, pos), original);
 }
 
 TEST_P(CodecFuzz, WrongNodeTruncationsRejected) {
   support::Rng rng(GetParam() + 6000);
-  std::vector<std::uint8_t> buf;
   // Shard hint + map epoch ride every redirect; half the seeds use the
   // "whole object re-homed" sentinel form.
   const std::uint32_t shard = (GetParam() % 2)
@@ -309,7 +341,9 @@ TEST_P(CodecFuzz, WrongNodeTruncationsRejected) {
                                   : static_cast<std::uint32_t>(rng.next() & 7);
   const WrongNodeHeader original{rng.next(), rng.next(), "Dictionary", shard,
                                  rng.next()};
-  encode_wrong_node(original, buf);
+  FrameBuilder fb;
+  encode_wrong_node(original, fb);
+  const auto buf = fb.build();
   std::size_t pos = 0;
   ASSERT_EQ(get_u8(buf, pos), static_cast<std::uint8_t>(MsgType::kWrongNode));
   EXPECT_EQ(decode_wrong_node(buf, pos), original);
@@ -325,7 +359,7 @@ TEST_P(CodecFuzz, WrongNodeTruncationsRejected) {
 TEST_P(CodecFuzz, BatchTruncationsRejected) {
   support::Rng rng(GetParam() + 7000);
   // A realistic batch: an ack, a request and a response as members.
-  std::vector<std::vector<std::uint8_t>> members(3);
+  std::vector<FrameBuilder> members(3);
   encode_ack(rng.next(), members[0]);
   encode_request_header(RequestHeader{rng.next(), rng.next(), rng.next(),
                                       rng.next(), "Dict", "Get"},
@@ -334,11 +368,16 @@ TEST_P(CodecFuzz, BatchTruncationsRejected) {
   encode_response_header(ResponseHeader{rng.next(), WireCause::kOk, 0},
                          members[2]);
   encode_list(vals(2), members[2]);
-  std::vector<std::uint8_t> buf;
-  encode_batch(members, buf);
+  FrameBuilder fb;
+  encode_batch(members, fb);
+  const auto buf = fb.build();
   std::size_t pos = 0;
   ASSERT_EQ(get_u8(buf, pos), static_cast<std::uint8_t>(MsgType::kBatch));
-  EXPECT_EQ(decode_batch(buf, pos), members);
+  const auto decoded = decode_batch(buf, pos);
+  ASSERT_EQ(decoded.size(), members.size());
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    EXPECT_EQ(decoded[i].to_blob(), members[i].build()) << "member " << i;
+  }
   EXPECT_EQ(pos, buf.size());
   for (std::size_t cut = 1; cut < buf.size(); ++cut) {
     std::vector<std::uint8_t> shorter(
@@ -350,11 +389,12 @@ TEST_P(CodecFuzz, BatchTruncationsRejected) {
 
 TEST_P(CodecFuzz, BatchCorruptionNeverCrashesNorOverallocates) {
   support::Rng rng(GetParam() + 8000);
-  std::vector<std::vector<std::uint8_t>> members(2);
+  std::vector<FrameBuilder> members(2);
   encode_ack(rng.next(), members[0]);
   encode_ack(rng.next(), members[1]);
-  std::vector<std::uint8_t> buf;
-  encode_batch(members, buf);
+  FrameBuilder fb;
+  encode_batch(members, fb);
+  const auto buf = fb.build();
   for (int trial = 0; trial < 200; ++trial) {
     auto corrupted = buf;
     const auto at = rng.next_below(corrupted.size());
@@ -372,10 +412,11 @@ TEST_P(CodecFuzz, BatchCorruptionNeverCrashesNorOverallocates) {
 
 TEST_P(CodecFuzz, HeaderCorruptionNeverCrashes) {
   support::Rng rng(GetParam() + 5000);
-  std::vector<std::uint8_t> buf;
+  FrameBuilder fb;
   encode_response_header(ResponseHeader{rng.next(), WireCause::kRemoteError, 0},
-                         buf);
-  encode_list(vals(std::string("boom")), buf);
+                         fb);
+  encode_list(vals(std::string("boom")), fb);
+  const auto buf = fb.build();
   for (int trial = 0; trial < 200; ++trial) {
     auto corrupted = buf;
     const auto at = rng.next_below(corrupted.size());
@@ -524,8 +565,9 @@ TEST_P(CodecFuzz, HelloRoundTripsAcrossArbitrarilyTornReads) {
       token.push_back(static_cast<char>(rng.next_below(256)));
     }
     hello.token = std::move(token);
-    std::vector<std::uint8_t> wire;
-    encode_hello(hello, wire);
+    FrameBuilder fb;
+    encode_hello(hello, fb);
+    std::vector<std::uint8_t> wire = fb.build();
     // Trailing stream bytes must be left unconsumed for the reassembler.
     const std::vector<std::uint8_t> trailer{0xde, 0xad, 0xbe, 0xef};
     wire.insert(wire.end(), trailer.begin(), trailer.end());
@@ -567,8 +609,9 @@ TEST(HelloFrames, BadMagicRejectedOnFirstFourBytes) {
 
 TEST(HelloFrames, OversizedTokenRejectedBeforeAllocation) {
   HelloFrame hello;
-  std::vector<std::uint8_t> wire;
-  encode_hello(hello, wire);
+  FrameBuilder fb;
+  encode_hello(hello, fb);
+  std::vector<std::uint8_t> wire = fb.build();
   const std::uint32_t huge = kMaxHelloTokenBytes + 1;
   std::memcpy(wire.data() + kHelloFixedBytes - 4, &huge, sizeof(huge));
   HelloReader reader;
@@ -579,7 +622,7 @@ TEST(HelloFrames, OversizedTokenRejectedBeforeAllocation) {
   // And the encoder refuses to produce one in the first place.
   HelloFrame bloated;
   bloated.token.assign(kMaxHelloTokenBytes + 1, 'x');
-  std::vector<std::uint8_t> out;
+  FrameBuilder out;
   EXPECT_THROW(encode_hello(bloated, out), Error);
 }
 
@@ -588,8 +631,9 @@ TEST_P(CodecFuzz, HelloCorruptionNeverCrashesNorOverallocates) {
   HelloFrame hello;
   hello.node = 42;
   hello.token = "cluster-secret";
-  std::vector<std::uint8_t> wire;
-  encode_hello(hello, wire);
+  FrameBuilder fb;
+  encode_hello(hello, fb);
+  const auto wire = fb.build();
   for (int trial = 0; trial < 200; ++trial) {
     auto corrupted = wire;
     const auto at = rng.next_below(corrupted.size());

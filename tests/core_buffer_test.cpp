@@ -34,6 +34,13 @@ struct ZeroCopyGuard {
   ~ZeroCopyGuard() { net::set_zero_copy_data_plane(true); }
 };
 
+/// `list` encoded and flattened into one contiguous wire vector.
+std::vector<std::uint8_t> wire_of(const ValueList& list) {
+  FrameBuilder fb;
+  net::encode_list(list, fb);
+  return fb.build();
+}
+
 // ---- Buffer semantics ------------------------------------------------------
 
 TEST(Buffer, AdoptSharesStorageAcrossCopiesAndSlices) {
@@ -181,13 +188,15 @@ TEST(FrameBuilderTest, LargePayloadsRideAsSlicesSmallOnesInline) {
   EXPECT_EQ(fb.bytes_referenced(), 4096u);
   EXPECT_LT(fb.bytes_inline(), 2 * kZeroCopySliceThreshold);
 
-  // The gather must reproduce the eager vector encoding byte for byte.
-  std::vector<std::uint8_t> eager;
+  // The gather must reproduce, byte for byte, the copying encoder: the same
+  // list encoded with zero-copy off, where every payload lands in the arena.
+  FrameBuilder eager;
   {
     ZeroCopyGuard off(false);
     net::encode_list({small, large}, eager);
   }
-  EXPECT_EQ(fb.build(), eager);
+  EXPECT_EQ(eager.bytes_referenced(), 0u);
+  EXPECT_EQ(fb.build(), eager.build());
 }
 
 TEST(FrameBuilderTest, CopyingABuilderSharesItsSlices) {
@@ -241,8 +250,7 @@ TEST(FrameBuilderTest, BuildFlushesDataPlaneCounters) {
 
 TEST(DecodeAliasing, MegabyteBlobRoundTripsAliasingTheFrame) {
   const Blob payload = pattern_blob(1 << 20);
-  std::vector<std::uint8_t> wire;
-  net::encode_list({Value(payload)}, wire);
+  std::vector<std::uint8_t> wire = wire_of({Value(payload)});
 
   // Received frames are owned buffers; blob decode aliases them.
   Buffer frame = Buffer::adopt(std::move(wire));
@@ -262,8 +270,7 @@ TEST(DecodeAliasing, MegabyteBlobRoundTripsAliasingTheFrame) {
 
 TEST(DecodeAliasing, BorrowedInputsAlwaysMaterialize) {
   const Blob payload = pattern_blob(1 << 20);
-  std::vector<std::uint8_t> wire;
-  net::encode_list({Value(payload)}, wire);
+  std::vector<std::uint8_t> wire = wire_of({Value(payload)});
 
   std::size_t pos = 0;
   ValueList out = net::decode_list(wire, pos);  // borrowed view input
@@ -277,8 +284,8 @@ TEST(DecodeAliasing, BorrowedInputsAlwaysMaterialize) {
 }
 
 TEST(DecodeAliasing, SmallBlobsCopyOutOfOwnedFrames) {
-  std::vector<std::uint8_t> wire;
-  net::encode_list({Value(pattern_blob(kZeroCopySliceThreshold - 1))}, wire);
+  std::vector<std::uint8_t> wire =
+      wire_of({Value(pattern_blob(kZeroCopySliceThreshold - 1))});
   Buffer frame = Buffer::adopt(std::move(wire));
   std::size_t pos = 0;
   ValueList out = net::decode_list(frame, pos);
@@ -290,8 +297,7 @@ TEST(DecodeAliasing, LargeStringsAliasOwnedFramesLikeBlobs) {
   // must alias the owned frame (bytes_referenced), exactly like blobs —
   // not memcpy into a fresh std::string (bytes_copied).
   const std::string payload(1 << 20, 'q');
-  std::vector<std::uint8_t> wire;
-  net::encode_list({Value(payload)}, wire);
+  std::vector<std::uint8_t> wire = wire_of({Value(payload)});
 
   auto& dp = support::data_plane();
   dp.reset();
@@ -321,8 +327,7 @@ TEST(DecodeAliasing, LargeStringsAliasOwnedFramesLikeBlobs) {
 
 TEST(DecodeAliasing, SmallStringsCopyOutOfOwnedFrames) {
   const std::string payload(kZeroCopySliceThreshold - 1, 's');
-  std::vector<std::uint8_t> wire;
-  net::encode_list({Value(payload)}, wire);
+  std::vector<std::uint8_t> wire = wire_of({Value(payload)});
   auto& dp = support::data_plane();
   dp.reset();
   Buffer frame = Buffer::adopt(std::move(wire));
@@ -337,8 +342,7 @@ TEST(DecodeAliasing, SmallStringsCopyOutOfOwnedFrames) {
 
 TEST(DecodeAliasing, BorrowedStringInputsAlwaysMaterialize) {
   const std::string payload(1 << 20, 'b');
-  std::vector<std::uint8_t> wire;
-  net::encode_list({Value(payload)}, wire);
+  std::vector<std::uint8_t> wire = wire_of({Value(payload)});
 
   std::size_t pos = 0;
   ValueList out = net::decode_list(wire, pos);  // borrowed view input
@@ -356,8 +360,7 @@ TEST(DecodeAliasing, AliasedStringsReencodeFromTheFrameWindow) {
   // referencing its frame window — round-trips byte-for-byte and never
   // materializes the std::string form.
   const std::string payload(1 << 18, 'f');
-  std::vector<std::uint8_t> wire;
-  net::encode_list({Value(payload)}, wire);
+  std::vector<std::uint8_t> wire = wire_of({Value(payload)});
   Buffer frame = Buffer::adopt(std::move(wire));
   std::size_t pos = 0;
   ValueList out = net::decode_list(frame, pos);
@@ -379,11 +382,7 @@ TEST(DecodeAliasing, AliasedStringsReencodeFromTheFrameWindow) {
 TEST(BatchAssembly, MixedSmallAndLargeMembersGatherOnce) {
   // An ack (tiny, pure arena) plus a request carrying a 256 KB blob.
   std::vector<FrameBuilder> members(2);
-  {
-    std::vector<std::uint8_t> ack;
-    net::encode_ack(99, ack);
-    members[0] = FrameBuilder::from_bytes(std::move(ack));
-  }
+  net::encode_ack(99, members[0]);
   const Blob payload = pattern_blob(1 << 18);
   net::encode_request_header(net::RequestHeader{7, 1, 0, 0, "Buf", "Put"},
                              members[1]);
@@ -400,7 +399,7 @@ TEST(BatchAssembly, MixedSmallAndLargeMembersGatherOnce) {
   std::size_t pos = 0;
   ASSERT_EQ(net::get_u8(frame, pos),
             static_cast<std::uint8_t>(net::MsgType::kBatch));
-  std::vector<Buffer> slices = net::decode_batch_slices(frame, pos);
+  std::vector<Buffer> slices = net::decode_batch(frame, pos);
   ASSERT_EQ(slices.size(), 2u);
   EXPECT_EQ(pos, frame.size());
   EXPECT_TRUE(slices[0].shares_storage_with(frame));
@@ -422,16 +421,23 @@ TEST(BatchAssembly, MixedSmallAndLargeMembersGatherOnce) {
 }
 
 TEST(BatchAssembly, EnvelopeMatchesVectorEncodingByteForByte) {
-  std::vector<std::uint8_t> ack1, ack2;
-  net::encode_ack(1, ack1);
-  net::encode_ack(2, ack2);
+  std::vector<FrameBuilder> members(2);
+  net::encode_ack(1, members[0]);
+  net::encode_ack(2, members[1]);
 
-  std::vector<std::uint8_t> eager;
-  net::encode_batch(std::vector<std::vector<std::uint8_t>>{ack1, ack2}, eager);
+  // The same envelope laid out by hand in a plain byte vector: type byte,
+  // member count, then each member's length and bytes.
+  std::vector<std::uint8_t> eager{
+      static_cast<std::uint8_t>(net::MsgType::kBatch), 2, 0, 0, 0};
+  for (const auto& m : members) {
+    const auto bytes = m.build();
+    const auto len = static_cast<std::uint32_t>(bytes.size());
+    for (int i = 0; i < 4; ++i) {
+      eager.push_back(static_cast<std::uint8_t>(len >> (8 * i)));
+    }
+    eager.insert(eager.end(), bytes.begin(), bytes.end());
+  }
 
-  std::vector<FrameBuilder> members;
-  members.push_back(FrameBuilder::from_bytes(std::move(ack1)));
-  members.push_back(FrameBuilder::from_bytes(std::move(ack2)));
   FrameBuilder envelope;
   net::encode_batch(members, envelope);
   EXPECT_EQ(envelope.build(), eager);

@@ -45,14 +45,12 @@ class BoundedBuffer {
                                    .when([&](const ValueList&) {
                                      return count < static_cast<int>(capacity_);
                                    })
-                                   .always_reeval()
                                    .then([&](Accepted a) {
                                      m.execute(a);
                                      ++count;
                                    }))
                            .on(accept_guard(remove_)
                                    .when([&](const ValueList&) { return count > 0; })
-                                   .always_reeval()
                                    .then([&](Accepted a) {
                                      m.execute(a);
                                      --count;

@@ -392,6 +392,50 @@ TEST(Select, DeltaReplaySurvivesManagerSideAcceptBetweenSelects) {
   EXPECT_EQ(order, (std::vector<std::int64_t>{1, 2, 3}));
 }
 
+TEST(Select, UnannotatedGuardsReevaluateManagerLocalState) {
+  // `when` closures that read manager-local state (the `count < N` pattern)
+  // must see it change between passes with no annotation and no
+  // notify_external_event: only guards marked cacheable() may be served a
+  // cached verdict. Each waiting call below was evaluated false once, and
+  // its guard turns true only through the other guard's `then`.
+  Object obj("Gate");
+  auto put = obj.define_entry({.name = "Put", .params = 0, .results = 0});
+  auto take = obj.define_entry({.name = "Take", .params = 0, .results = 0});
+  obj.implement(put, [](BodyCtx&) -> ValueList { return {}; });
+  obj.implement(take, [](BodyCtx&) -> ValueList { return {}; });
+  obj.set_manager({intercept(put), intercept(take)}, [&](Manager& m) {
+    int count = 0;
+    Select()
+        .on(accept_guard(put)
+                .when([&](const ValueList&) { return count < 1; })
+                .then([&](Accepted a) {
+                  ++count;
+                  m.execute(a);
+                }))
+        .on(accept_guard(take)
+                .when([&](const ValueList&) { return count > 0; })
+                .then([&](Accepted a) {
+                  --count;
+                  m.execute(a);
+                }))
+        .loop(m);
+  });
+  obj.start();
+  auto first_take = obj.async_call(take, {});
+  EXPECT_FALSE(first_take.wait_for(std::chrono::milliseconds(30)));
+  obj.call(put, {});
+  ASSERT_TRUE(first_take.wait_for(std::chrono::seconds(10)))
+      << "take's guard kept a stale verdict after count changed";
+
+  obj.call(put, {});
+  auto second_put = obj.async_call(put, {});
+  EXPECT_FALSE(second_put.wait_for(std::chrono::milliseconds(30)));
+  obj.call(take, {});
+  ASSERT_TRUE(second_put.wait_for(std::chrono::seconds(10)))
+      << "put's guard kept a stale verdict after count changed";
+  obj.stop();
+}
+
 TEST(Select, NaivePollingModeStillCorrect) {
   // E9's strawman must give the same answers, just slower.
   Object obj("Naive");

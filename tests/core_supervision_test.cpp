@@ -572,7 +572,6 @@ TEST(Watchdog, ReportsStalledManagerWithGuardSnapshot) {
     Select()
         .on(accept_guard(work)
                 .when([](const ValueList&) { return false; })
-                .always_reeval()
                 .then([&](Accepted a) { m.execute(a); }))
         .loop(m);
   });

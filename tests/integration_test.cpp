@@ -131,14 +131,12 @@ TEST(Integration, TracerOnPaperAppDecomposesWait) {
     Select()
         .on(accept_guard(deposit)
                 .when([&](const ValueList&) { return count < 2; })
-                .always_reeval()
                 .then([&](Accepted a) {
                   m.execute(a);
                   ++count;
                 }))
         .on(accept_guard(remove)
                 .when([&](const ValueList&) { return count > 0; })
-                .always_reeval()
                 .then([&](Accepted a) {
                   m.execute(a);
                   --count;

@@ -549,7 +549,9 @@ struct FakeLink {
     for (const auto& [dst, bytes] : posted) {
       std::size_t pos = 0;
       if (get_u8(bytes, pos) == static_cast<std::uint8_t>(MsgType::kBatch)) {
-        for (auto& m : decode_batch(bytes, pos)) out.push_back(std::move(m));
+        for (const auto& m : decode_batch(bytes, pos)) {
+          out.push_back(m.to_blob());
+        }
       } else {
         out.push_back(bytes);
       }
@@ -558,8 +560,12 @@ struct FakeLink {
   }
 };
 
-std::vector<std::uint8_t> ack_frame(std::uint8_t tag) {
+std::vector<std::uint8_t> ack_bytes(std::uint8_t tag) {
   return {static_cast<std::uint8_t>(MsgType::kAck), tag};
+}
+
+FrameBuilder ack_frame(std::uint8_t tag) {
+  return FrameBuilder::from_bytes(ack_bytes(tag));
 }
 
 TEST(Batch, SizeBoundCoalescesAndPreservesFifo) {
@@ -619,7 +625,7 @@ TEST(Batch, IdleLinkPostsAtOnceRaw) {
     std::scoped_lock lock(link.mu);
     ASSERT_EQ(link.posted.size(), 1u) << "posted before enqueue returned";
     EXPECT_EQ(link.posted[0].first, 3u);
-    EXPECT_EQ(link.posted[0].second, ack_frame(5)) << "sent raw";
+    EXPECT_EQ(link.posted[0].second, ack_bytes(5)) << "sent raw";
     EXPECT_EQ(link.posters[0], std::this_thread::get_id());
   }
   EXPECT_EQ(batcher.buffered(), 0u);
@@ -683,7 +689,7 @@ TEST(Batch, FramesBehindBusyLinkCoalesceInFifo) {
   const auto members = link.members();
   ASSERT_EQ(members.size(), next);
   for (std::uint8_t i = 0; i < next; ++i) {
-    EXPECT_EQ(members[i], ack_frame(i)) << "member " << int{i} << " out of order";
+    EXPECT_EQ(members[i], ack_bytes(i)) << "member " << int{i} << " out of order";
   }
   const auto stats = batcher.stats();
   EXPECT_EQ(stats.batches_posted, 4u);
@@ -741,7 +747,7 @@ TEST(Batch, ConcurrentEnqueueNeverStrandsOrReorders) {
         f[0] = static_cast<std::uint8_t>(MsgType::kAck);
         f[1] = static_cast<std::uint8_t>(t);
         std::memcpy(f.data() + 2, &seq, sizeof(seq));
-        batcher.enqueue(1, std::move(f));
+        batcher.enqueue(1, FrameBuilder::from_bytes(std::move(f)));
       }
     });
   }
@@ -866,14 +872,14 @@ TEST(Batch, NestedBatchFrameIsRejectedWithoutCrash) {
 
   // A hostile frame: a batch containing a batch containing a request. The
   // dispatch layer must drop it at the nesting check, not recurse.
-  std::vector<std::uint8_t> request;
+  FrameBuilder request;
   encode_request_header(RequestHeader{1, 1, 0, 0, "Counter", "Add"}, request);
   encode_list(vals(1), request);
-  std::vector<std::uint8_t> inner;
+  FrameBuilder inner;
   encode_batch({request}, inner);
-  std::vector<std::uint8_t> outer;
+  FrameBuilder outer;
   encode_batch({inner}, outer);
-  net.post(Frame{raw, server.id(), std::move(outer)});
+  net.post(raw, server.id(), std::move(outer));
   net.wait_quiescent();
   EXPECT_EQ(svc.executions.load(), 0)
       << "nested batch members must not dispatch";
@@ -882,9 +888,9 @@ TEST(Batch, NestedBatchFrameIsRejectedWithoutCrash) {
   // raw sender has no Node to await the response on, and wait_quiescent only
   // drains the network queue — the body still runs asynchronously in the
   // serving kernel after the frame is consumed — so poll for the execution.
-  std::vector<std::uint8_t> flat;
+  FrameBuilder flat;
   encode_batch({request}, flat);
-  net.post(Frame{raw, server.id(), std::move(flat)});
+  net.post(raw, server.id(), std::move(flat));
   net.wait_quiescent();
   for (int spin = 0; spin < 2000 && svc.executions.load() == 0; ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));

@@ -80,7 +80,9 @@ TEST(SocketTransport, DeliversRawFramesOverUnixSocket) {
     if (got.size() == 3) done.set();
   });
 
-  for (std::uint8_t i = 0; i < 3; ++i) ta.post(Frame{1, 2, {i, 42}});
+  for (std::uint8_t i = 0; i < 3; ++i) {
+    ta.post(1, 2, FrameBuilder::from_bytes({i, 42}));
+  }
   ASSERT_TRUE(done.wait_for(30s));
 
   std::scoped_lock lock(mu);
@@ -123,7 +125,7 @@ TEST(SocketTransport, DeliversRawFramesOverTcpLoopback) {
     bytes += payload.size();
     done.set();
   });
-  tb.post(Frame{2, 1, std::vector<std::uint8_t>(1024, 7)});
+  tb.post(2, 1, FrameBuilder::from_bytes(std::vector<std::uint8_t>(1024, 7)));
   ASSERT_TRUE(done.wait_for(30s));
   EXPECT_EQ(bytes.load(), 1024u);
 }
@@ -138,7 +140,8 @@ TEST(SocketTransport, LoopbackToSelfDeliversInline) {
     EXPECT_EQ(payload.size(), 2u);
     got = true;
   });
-  t.post(Frame{1, 1, {9, 9}});  // synchronous: no peer, no socket
+  // Synchronous: no peer, no socket.
+  t.post(1, 1, FrameBuilder::from_bytes({9, 9}));
   EXPECT_TRUE(got);
 }
 
@@ -341,7 +344,9 @@ TEST(SocketTransport, BlipRetainsQueuedFramesAndReplaysInOrder) {
   // listener at the path). The 5 frames must ride out the blip in A's
   // retransmit queue — not be counted lost. Waiting for is_partitioned
   // pins the "a round actually failed" half of the claim.
-  for (std::uint8_t i = 0; i < 5; ++i) ta.post(Frame{1, 2, {i}});
+  for (std::uint8_t i = 0; i < 5; ++i) {
+    ta.post(1, 2, FrameBuilder::from_bytes({i}));
+  }
   const auto deadline = std::chrono::steady_clock::now() + 30s;
   while (!ta.is_partitioned(1, 2)) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline);
@@ -378,13 +383,15 @@ TEST(SocketTransport, RetransmitBudgetOverflowCountsLost) {
 
   // First frame arms the sender; wait until a connect round has failed so
   // the link is known-down and the budget applies.
-  ta.post(Frame{1, 2, {0}});
+  ta.post(1, 2, FrameBuilder::from_bytes({0}));
   const auto deadline = std::chrono::steady_clock::now() + 30s;
   while (!ta.is_partitioned(1, 2)) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline);
     std::this_thread::sleep_for(1ms);
   }
-  for (std::uint8_t i = 1; i < 6; ++i) ta.post(Frame{1, 2, {i}});
+  for (std::uint8_t i = 1; i < 6; ++i) {
+    ta.post(1, 2, FrameBuilder::from_bytes({i}));
+  }
 
   FrameSink sink;
   sink.want = 3;
@@ -416,12 +423,14 @@ TEST(SocketTransport, SeverQueuesUnderBudgetAndRestoreReplaysInOrder) {
   FrameSink sink;
   sink.want = 1;
   tb.set_handler(2, sink.handler());
-  ta.post(Frame{1, 2, {0}});
+  ta.post(1, 2, FrameBuilder::from_bytes({0}));
   ASSERT_TRUE(sink.reached.wait_for(30s));
 
   ta.sever(2);
   EXPECT_TRUE(ta.is_partitioned(1, 2));
-  for (std::uint8_t i = 1; i <= 4; ++i) ta.post(Frame{1, 2, {i}});
+  for (std::uint8_t i = 1; i <= 4; ++i) {
+    ta.post(1, 2, FrameBuilder::from_bytes({i}));
+  }
   ta.wait_quiescent();  // parked frames count as quiescent during the cut
   {
     std::scoped_lock lock(sink.mu);
@@ -460,11 +469,11 @@ TEST(SocketTransport, RemovePeerRacesInFlightDeliveryAndRejectsReconnect) {
       release.wait();
     }
   });
-  ta.post(Frame{1, 2, {1}});
+  ta.post(1, 2, FrameBuilder::from_bytes({1}));
   ASSERT_TRUE(entered.wait_for(30s));
   // A second frame is already behind the blocked delivery; the eviction
   // below must win the race against it.
-  ta.post(Frame{1, 2, {2}});
+  ta.post(1, 2, FrameBuilder::from_bytes({2}));
 
   std::thread evict([&] { EXPECT_TRUE(tb.remove_peer(1)); });
   std::this_thread::sleep_for(50ms);  // overlap eviction with the delivery
@@ -477,7 +486,7 @@ TEST(SocketTransport, RemovePeerRacesInFlightDeliveryAndRejectsReconnect) {
   const auto deadline = std::chrono::steady_clock::now() + 30s;
   while (tb.transport_stats().handshake_rejected == 0) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline);
-    ta.post(Frame{1, 2, {3}});
+    ta.post(1, 2, FrameBuilder::from_bytes({3}));
     ta.disconnect(2);  // force a fresh connection (and a fresh handshake)
     std::this_thread::sleep_for(5ms);
   }
@@ -509,7 +518,7 @@ TEST(SocketTransport, AddPeerAdmitsTrafficMidRun) {
   const auto deadline = std::chrono::steady_clock::now() + 30s;
   while (ta.transport_stats().handshake_rejected == 0) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline);
-    tb.post(Frame{2, 1, {7}});
+    tb.post(2, 1, FrameBuilder::from_bytes({7}));
     tb.disconnect(1);
     std::this_thread::sleep_for(5ms);
   }
@@ -523,7 +532,7 @@ TEST(SocketTransport, AddPeerAdmitsTrafficMidRun) {
   EXPECT_EQ(membership_adds.load(), 1);
   while (!first.wait_for(50ms)) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline);
-    tb.post(Frame{2, 1, {8}});
+    tb.post(2, 1, FrameBuilder::from_bytes({8}));
     tb.disconnect(1);
   }
   EXPECT_GE(got.load(), 1);
@@ -546,7 +555,7 @@ TEST(SocketTransport, HandshakeRejectsWrongClusterToken) {
   const auto deadline = std::chrono::steady_clock::now() + 30s;
   while (ta.transport_stats().handshake_rejected == 0) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline);
-    tb.post(Frame{2, 1, {1}});
+    tb.post(2, 1, FrameBuilder::from_bytes({1}));
     tb.disconnect(1);
     std::this_thread::sleep_for(5ms);
   }
@@ -568,7 +577,7 @@ TEST(SocketTransport, HandshakeRejectsProtocolVersionMismatch) {
   const auto deadline = std::chrono::steady_clock::now() + 30s;
   while (ta.transport_stats().handshake_rejected == 0) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline);
-    tb.post(Frame{2, 1, {1}});
+    tb.post(2, 1, FrameBuilder::from_bytes({1}));
     tb.disconnect(1);
     std::this_thread::sleep_for(5ms);
   }
@@ -617,8 +626,9 @@ TEST(SocketTransport, RawImpostorConnectionNeverDeliversAFrame) {
   // the framing layer poisons the connection before anything dispatches.
   HelloFrame hello;
   hello.node = 2;
-  std::vector<std::uint8_t> bytes;
-  encode_hello(hello, bytes);
+  FrameBuilder hello_frame;
+  encode_hello(hello, hello_frame);
+  std::vector<std::uint8_t> bytes = hello_frame.build();
   for (int i = 0; i < 4; ++i) bytes.push_back(0xff);  // length = 2^32-1
   for (int i = 0; i < 8; ++i) bytes.push_back(0x02);  // src (never parsed)
   raw_connection(paths.node(1), bytes);
@@ -692,13 +702,15 @@ TEST(SocketTransport, FrameAccountingConservesAcrossBudgetSeverAndEviction) {
   FrameSink sink;
   sink.want = 1;
   tb.set_handler(2, sink.handler());
-  ta.post(Frame{1, 2, {0}});
+  ta.post(1, 2, FrameBuilder::from_bytes({0}));
   ASSERT_TRUE(sink.reached.wait_for(30s));
 
   // Sever, then overflow the retransmit budget: 3 of the 6 park, 3 are
   // tail-dropped by the trim and must be counted lost exactly once.
   ta.sever(2);
-  for (std::uint8_t i = 1; i <= 6; ++i) ta.post(Frame{1, 2, {i}});
+  for (std::uint8_t i = 1; i <= 6; ++i) {
+    ta.post(1, 2, FrameBuilder::from_bytes({i}));
+  }
   ta.wait_quiescent();
   EXPECT_EQ(ta.transport_stats().frames_lost, 3u)
       << "parked-then-trimmed frames are lost once, not twice";
@@ -721,11 +733,11 @@ TEST(SocketTransport, FrameAccountingConservesAcrossBudgetSeverAndEviction) {
   // Park two more behind a fresh cut, then evict the peer: the teardown
   // drain owns those two frames (and only those two).
   ta.sever(2);
-  ta.post(Frame{1, 2, {7}});
-  ta.post(Frame{1, 2, {8}});
+  ta.post(1, 2, FrameBuilder::from_bytes({7}));
+  ta.post(1, 2, FrameBuilder::from_bytes({8}));
   ta.remove_peer(2);
   // A post to a removed peer is a drop (dst unknown), not a loss.
-  ta.post(Frame{1, 2, {9}});
+  ta.post(1, 2, FrameBuilder::from_bytes({9}));
   ta.wait_quiescent();
   const auto a = ta.transport_stats();
   const auto b = tb.transport_stats();
@@ -774,8 +786,8 @@ std::vector<std::vector<std::uint8_t>> read_raw_peer(int fd, std::size_t want,
         std::size_t pos = 0;
         if (unpack && get_u8(msg->payload, pos) ==
                           static_cast<std::uint8_t>(MsgType::kBatch)) {
-          for (auto& m : decode_batch(msg->payload, pos)) {
-            got.push_back(std::move(m));
+          for (const auto& m : decode_batch(msg->payload, pos)) {
+            got.push_back(m.to_blob());
           }
         } else {
           got.emplace_back(msg->payload.data(),
@@ -815,7 +827,8 @@ TEST(SocketTransport, PostNeverBlocksAgainstAStalledReader) {
 
   SocketTransport ta(uds_options(paths, 1, {1, 2}));
   ta.add_node("a");
-  ta.post(Frame{1, 2, big_frame(0)});  // starts the sender, which connects
+  // Starts the sender, which connects.
+  ta.post(1, 2, FrameBuilder::from_bytes(big_frame(0)));
   const int fd = ::accept(listener, nullptr, nullptr);
   ASSERT_GE(fd, 0);
 
@@ -839,7 +852,7 @@ TEST(SocketTransport, PostNeverBlocksAgainstAStalledReader) {
   for (std::uint32_t i = 1; i < total; ++i) {
     auto frame = big_frame(i);
     const auto t0 = std::chrono::steady_clock::now();
-    ta.post(Frame{1, 2, std::move(frame)});
+    ta.post(1, 2, FrameBuilder::from_bytes(std::move(frame)));
     slowest = std::max(slowest, std::chrono::steady_clock::now() - t0);
   }
   go.set();
@@ -883,11 +896,15 @@ TEST(SocketTransport, BatcherBehindAStalledReaderHoldsOneEnvelope) {
   BatchOptions opts;
   opts.max_frames = 4;
   FrameBatcher batcher(
-      opts, [&](NodeId dst, FrameBuilder frame) { ta.post(1, dst, frame); },
+      opts,
+      [&](NodeId dst, FrameBuilder frame) {
+        ta.post(1, dst, std::move(frame));
+      },
       [&](NodeId dst) { return ta.link_busy(1, dst); });
   ta.set_idle_handler(1, [&](NodeId dst) { batcher.on_link_idle(dst); });
 
-  batcher.enqueue(2, tagged_frame(0));  // starts the sender, which connects
+  // Starts the sender, which connects.
+  batcher.enqueue(2, FrameBuilder::from_bytes(tagged_frame(0)));
   const int fd = ::accept(listener, nullptr, nullptr);
   ASSERT_GE(fd, 0);
   int sndbuf = 0;
@@ -906,7 +923,7 @@ TEST(SocketTransport, BatcherBehindAStalledReaderHoldsOneEnvelope) {
   std::size_t most_buffered = 0;
   for (std::uint32_t i = 1; i < total; ++i) {
     const auto t0 = std::chrono::steady_clock::now();
-    batcher.enqueue(2, tagged_frame(i));
+    batcher.enqueue(2, FrameBuilder::from_bytes(tagged_frame(i)));
     slowest = std::max(slowest, std::chrono::steady_clock::now() - t0);
     most_buffered = std::max(most_buffered, batcher.buffered());
   }
@@ -1033,7 +1050,7 @@ TEST(SocketTransport, ConcurrentPostersKeepFifoAcrossBothWritePaths) {
   // Connected first, so the churn below races live writes, not the first
   // connect.
   sink.want = 1;
-  ta.post(Frame{1, 2, {0xff}});
+  ta.post(1, 2, FrameBuilder::from_bytes({0xff}));
   ASSERT_TRUE(sink.reached.wait_for(30s));
 
   constexpr int kPosters = 4;
@@ -1048,7 +1065,7 @@ TEST(SocketTransport, ConcurrentPostersKeepFifoAcrossBothWritePaths) {
         std::vector<std::uint8_t> f(1 + sizeof(seq));
         f[0] = static_cast<std::uint8_t>(t);
         std::memcpy(f.data() + 1, &seq, sizeof(seq));
-        ta.post(Frame{1, 2, std::move(f)});
+        ta.post(1, 2, FrameBuilder::from_bytes(std::move(f)));
         posted[t] = seq + 1;
         if (seq % 16 == 15) std::this_thread::sleep_for(20us);
       }

@@ -15,8 +15,9 @@ namespace {
 // ---- codec ----
 
 ValueList roundtrip(const ValueList& in, ChannelResolver* resolver = nullptr) {
-  std::vector<std::uint8_t> buf;
-  encode_list(in, buf, resolver);
+  FrameBuilder fb;
+  encode_list(in, fb, resolver);
+  const auto buf = fb.build();
   std::size_t pos = 0;
   ValueList out = decode_list(buf, pos, resolver);
   EXPECT_EQ(pos, buf.size());
@@ -43,24 +44,26 @@ TEST(Codec, BlobAndNestedListsRoundTrip) {
 }
 
 TEST(Codec, TruncatedFrameRejected) {
-  std::vector<std::uint8_t> buf;
-  encode_list(vals("some string payload"), buf);
+  FrameBuilder fb;
+  encode_list(vals("some string payload"), fb);
+  auto buf = fb.build();
   buf.resize(buf.size() / 2);
   std::size_t pos = 0;
   EXPECT_THROW(decode_list(buf, pos), Error);
 }
 
 TEST(Codec, GarbageTagRejected) {
-  std::vector<std::uint8_t> buf;
-  put_u32(buf, 1);   // one element
-  put_u8(buf, 99);   // bogus tag
+  FrameBuilder fb;
+  fb.put_u32(1);   // one element
+  fb.put_u8(99);   // bogus tag
+  const auto buf = fb.build();
   std::size_t pos = 0;
   EXPECT_THROW(decode_list(buf, pos), Error);
 }
 
 TEST(Codec, ChannelWithoutResolverRejected) {
-  std::vector<std::uint8_t> buf;
-  EXPECT_THROW(encode_list(vals(make_channel()), buf), Error);
+  FrameBuilder fb;
+  EXPECT_THROW(encode_list(vals(make_channel()), fb), Error);
 }
 
 // ---- codec: frame headers (ack / dedup-epoch fields) ----
@@ -69,8 +72,9 @@ TEST(Codec, RequestHeaderRoundTrip) {
   const RequestHeader in{/*req_id=*/77, /*epoch=*/12345678901234ull,
                          /*ack_through=*/76, /*deadline_ms=*/1500,
                          "Dictionary", "Search"};
-  std::vector<std::uint8_t> buf;
-  encode_request_header(in, buf);
+  FrameBuilder fb;
+  encode_request_header(in, fb);
+  const auto buf = fb.build();
   std::size_t pos = 0;
   EXPECT_EQ(get_u8(buf, pos), static_cast<std::uint8_t>(MsgType::kRequest));
   EXPECT_EQ(decode_request_header(buf, pos), in);
@@ -82,8 +86,9 @@ TEST(Codec, ResponseHeaderRoundTrip) {
        {WireCause::kOk, WireCause::kRemoteError, WireCause::kObjectNotFound,
         WireCause::kTimeout, WireCause::kCancelled, WireCause::kObjectDown}) {
     const ResponseHeader in{/*req_id=*/99, cause, kResponseFlagReplayed};
-    std::vector<std::uint8_t> buf;
-    encode_response_header(in, buf);
+    FrameBuilder fb;
+    encode_response_header(in, fb);
+    const auto buf = fb.build();
     EXPECT_EQ(buf[kResponseFlagsOffset], kResponseFlagReplayed);
     std::size_t pos = 0;
     EXPECT_EQ(get_u8(buf, pos), static_cast<std::uint8_t>(MsgType::kResponse));
@@ -92,16 +97,18 @@ TEST(Codec, ResponseHeaderRoundTrip) {
 }
 
 TEST(Codec, ResponseUnknownCauseRejected) {
-  std::vector<std::uint8_t> buf;
-  encode_response_header(ResponseHeader{1, WireCause::kOk, 0}, buf);
+  FrameBuilder fb;
+  encode_response_header(ResponseHeader{1, WireCause::kOk, 0}, fb);
+  auto buf = fb.build();
   buf[1 + 8] = 250;  // cause byte out of range
   std::size_t pos = 1;
   EXPECT_THROW(decode_response_header(buf, pos), Error);
 }
 
 TEST(Codec, AckRoundTrip) {
-  std::vector<std::uint8_t> buf;
-  encode_ack(31337, buf);
+  FrameBuilder fb;
+  encode_ack(31337, fb);
+  const auto buf = fb.build();
   std::size_t pos = 0;
   EXPECT_EQ(get_u8(buf, pos), static_cast<std::uint8_t>(MsgType::kAck));
   EXPECT_EQ(decode_ack(buf, pos), 31337u);
@@ -473,13 +480,13 @@ TEST(Rpc, RequestDeadlineEnforcedByServingKernel) {
   obj.start();
   server.host(obj);
 
-  std::vector<std::uint8_t> payload;
+  FrameBuilder payload;
   encode_request_header(
       RequestHeader{/*req_id=*/1, /*epoch=*/7, /*ack_through=*/0,
                     /*deadline_ms=*/50, "Stall", "Work"},
       payload);
   encode_list({}, payload);
-  net.post(Frame{raw, server.id(), std::move(payload)});
+  net.post(raw, server.id(), std::move(payload));
 
   ASSERT_TRUE(got_response.wait_for(std::chrono::seconds(5)));
   std::scoped_lock lock(mu);
