@@ -830,16 +830,25 @@ void Node::handle_request(NodeId from, const Buffer& payload,
     return;
   }
   if (!object) {
+    // `decision` was read before mu_, so a migration (host at the new home,
+    // then unhost here) can land in between and leave it naming this node
+    // for an object no longer hosted here. Read the directory again: the
+    // new home registered before this node unhosted.
+    auto route = decision;
+    if (!route || route->home == id_) {
+      route = transport_->directory().route(header.object, key_hash,
+                                            read_only, id_);
+    }
     FrameBuilder out;
-    if (decision && decision->home != id_) {
+    if (route && route->home != id_) {
       // The directory knows a better home for this key: redirect instead of
       // failing, so a stale client route heals in one extra hop. The hint
       // is shard-precise (shard index + map epoch) so a client with a stale
       // shard map patches exactly one slot — a live split converges key by
       // key with no global barrier.
-      encode_wrong_node(WrongNodeHeader{header.req_id, decision->home,
-                                        header.object, decision->shard,
-                                        decision->epoch},
+      encode_wrong_node(WrongNodeHeader{header.req_id, route->home,
+                                        header.object, route->shard,
+                                        route->epoch},
                         out);
       std::scoped_lock lock(mu_);
       ++server_stats_.wrong_node_redirects;
