@@ -28,7 +28,9 @@ enum class SupervisionMode : std::uint8_t {
   /// Restart the manager with bounded exponential backoff. Accepted-but-not-
   /// started calls are re-queued for the new incarnation (replay_pending),
   /// started bodies are failed and abandoned (side effects cannot be
-  /// replayed), and attached/overflow calls simply wait for the new manager.
+  /// replayed) unless multiactive, whose epilogue completes the caller
+  /// without a manager, and attached/overflow calls simply wait for the new
+  /// manager.
   /// When the restart budget is exhausted the object is quarantined.
   kRestart = 2,
 };

@@ -466,10 +466,89 @@ TEST(Multiactive, RestartReplaysDeferredCall) {
     std::scoped_lock lock(mu);
     EXPECT_EQ(writes_run, (std::vector<std::int64_t>{42}));
   }
-  // The read that was RUNNING at crash time is failed (its body belonged to
-  // the dead incarnation) or replayed depending on phase; either way the
-  // caller gets exactly one completion.
+  // The read that was RUNNING at crash time completes in its own epilogue;
+  // either way the caller gets exactly one completion.
   (void)outcome_of(std::move(r));
+  obj.stop();
+}
+
+TEST(Multiactive, DeferredCallLaunchedDuringRestartBackoffCompletes) {
+  // The read group drains inside the restart backoff, so the kernel launches
+  // the parked write before the reconcile, and the write is still running
+  // when the reconcile looks at it. Both bodies are multiactive: each
+  // completes its caller in its own epilogue, so neither may be failed
+  // kObjectDown for belonging to the dead incarnation.
+  std::atomic<bool> crashed{false};
+  std::atomic<bool> reconciled{false};
+  std::atomic<bool> write_began_before_reconcile{false};
+  std::atomic<int> reads_active{0};
+  std::atomic<int> writes_started{0};
+  Gate hold_reads;
+  Gate hold_write;  // opened by on_restart, i.e. after the reconcile
+
+  Object obj("PhoenixBackoff",
+             ObjectOptions{.supervision = {.mode = SupervisionMode::kRestart,
+                                           .max_restarts = 3,
+                                           .initial_backoff = 500ms,
+                                           .on_restart = [&] {
+                                             reconciled = true;
+                                             hold_write.open();
+                                           }}});
+  auto read = obj.define_entry(
+      EntryDecl{.name = "Read", .params = 1, .results = 1}.compatible_with(
+          {"Read"}));
+  auto write = obj.define_entry(
+      EntryDecl{.name = "Write", .params = 1, .results = 0}.serial_group());
+  auto boom = obj.define_entry({.name = "Boom", .params = 0, .results = 0});
+  obj.implement(read, ImplDecl{.array = 4}, [&](BodyCtx& ctx) -> ValueList {
+    ++reads_active;
+    hold_reads.wait();
+    --reads_active;
+    return {ctx.param(0)};
+  });
+  obj.implement(write, [&](BodyCtx&) -> ValueList {
+    write_began_before_reconcile = !reconciled.load();
+    ++writes_started;
+    hold_write.wait();
+    return {};
+  });
+  obj.implement(boom, [](BodyCtx&) -> ValueList { return {}; });
+  obj.set_manager({intercept(read), intercept(write), intercept(boom)},
+                  [&](Manager& m) {
+                    Select()
+                        .on(accept_guard(read).then(
+                            [&](Accepted a) { m.start_compatible(a); }))
+                        .on(accept_guard(write).then(
+                            [&](Accepted a) { m.start_compatible(a); }))
+                        .on(accept_guard(boom).then([&](Accepted a) {
+                          if (!crashed.exchange(true)) {
+                            throw std::runtime_error("incarnation crash");
+                          }
+                          m.execute(a);
+                        }))
+                        .loop(m);
+                  });
+  obj.start();
+
+  auto r = obj.async_call(read, vals(7));
+  ASSERT_TRUE(eventually([&] { return reads_active.load() == 1; }));
+  auto w = obj.async_call(write, vals(42));
+  ASSERT_TRUE(eventually(
+      [&] { return stats_of(obj, "Write").ma_conflict_blocks >= 1; }));
+
+  // restarts() counts the crash before the backoff starts; release the
+  // reads inside the backoff so the write launches ahead of the reconcile.
+  auto trigger = obj.async_call(boom, {});
+  ASSERT_TRUE(eventually([&] { return obj.restarts() == 1; }));
+  hold_reads.open();
+  ASSERT_TRUE(eventually([&] { return writes_started.load() == 1; }));
+  ASSERT_TRUE(write_began_before_reconcile.load())
+      << "the write must launch inside the 500 ms backoff";
+
+  EXPECT_EQ(outcome_of(std::move(r)), std::nullopt);
+  EXPECT_EQ(outcome_of(std::move(w)), std::nullopt);
+  EXPECT_EQ(outcome_of(std::move(trigger)), std::nullopt);
+  EXPECT_EQ(writes_started.load(), 1);
   obj.stop();
 }
 
