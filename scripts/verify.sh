@@ -84,6 +84,7 @@ SAN_SUITES=(
   net_test net_failure_test net_fault_test net_routing_test
   net_order_test net_socket_test
   codec_fuzz_test integration_test
+  apps_test
 )
 
 for san in thread address; do

@@ -30,7 +30,13 @@ Dictionary::Dictionary(std::vector<std::string> words, Options options)
   }
 
   // --- implementation: Search[1..SearchMax] ---
-  obj_.implement(search_, ImplDecl{.array = options_.search_max},
+  // Without simulated search time the body is one hash lookup that cannot
+  // block, so the serial manager's start runs it inline (DESIGN.md §4.13);
+  // a sleeping body stays pooled so searches overlap. The multiactive
+  // manager's start_compatible ignores the declaration.
+  obj_.implement(search_,
+                 ImplDecl{.array = options_.search_max,
+                          .inline_start = options_.search_time.count() == 0},
                  [this](BodyCtx& ctx) -> ValueList {
                    ++executed_;
                    if (options_.search_time.count() > 0) {
@@ -108,6 +114,12 @@ Dictionary::Dictionary(std::vector<std::string> words, Options options)
 
         Select()
             .on(accept_guard(search_).then([&, this](Accepted a) {
+              // The kernel checks arity, not kinds: answer a non-string
+              // word here rather than let as_string() kill the manager.
+              if (!a.params[0].is_string()) {
+                m.fail(a, "Search: the word must be a string");
+                return;
+              }
               ++requests_;
               if (!queued_inserts.empty()) {
                 stalled_searches.push_back(std::move(a));

@@ -8,6 +8,15 @@
 // "a software adaptation of the memory combining used in the NYU
 // Ultracomputer" (§2.7). Experiment E3 measures the executed-searches
 // saving under a Zipf workload.
+//
+// With no simulated search time the Search body is one hash lookup that
+// cannot block, so it is declared ImplDecl::inline_start: the manager's
+// start runs it on the manager thread (DESIGN.md §4.13), saving a pooled
+// worker's two handoffs per call. Its slot stays "in flight" until the
+// await guard fires on the next select pass, so a same-word request
+// accepted first in that pass still combines with it. With search_time > 0
+// the body sleeps and stays pooled, keeping the concurrent in-flight window
+// that E3 measures.
 #pragma once
 
 #include <atomic>

@@ -67,6 +67,12 @@ struct ImplDecl {
   std::size_t array = 1;
   std::size_t hidden_params = 0;
   std::size_t hidden_results = 0;
+  /// The body is short and never waits on its own object, so Manager::start
+  /// and start_with may run it on the manager thread, as execute does, and
+  /// save the two thread handoffs of a pooled start (DESIGN.md §4.13). Off:
+  /// the paper's asynchronous start. start_compatible and
+  /// start_compatible_pending ignore it.
+  bool inline_start = false;
 };
 
 /// The body of an entry procedure. It receives the full parameter list

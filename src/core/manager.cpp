@@ -122,21 +122,19 @@ std::optional<Accepted> Manager::try_accept(EntryRef entry) {
 
 void Manager::start(const Accepted& a, ValueList hidden_params) {
   assert_manager_thread("start");
-  std::optional<ValueList> full;
-  {
-    std::scoped_lock lock(obj_->mu_);
-    full = start_locked(a, std::move(hidden_params));
-  }
-  if (full) obj_->submit_body(a.entry, a.slot, std::move(*full));
+  start_body(a, std::nullopt, std::move(hidden_params), /*executing=*/false);
+}
+
+void Manager::start_with(const Accepted& a, ValueList iparams,
+                         ValueList hidden_params) {
+  assert_manager_thread("start");
+  start_body(a, std::move(iparams), std::move(hidden_params),
+             /*executing=*/false);
 }
 
 std::optional<ValueList> Manager::start_locked(const Accepted& a,
+                                               std::optional<ValueList> iparams,
                                                ValueList hidden_params) {
-  // Hot path: the manager re-supplies the intercepted prefix unchanged, so
-  // the body's parameter list is the caller's own list moved wholesale out
-  // of the record — no per-call copy of the prefix (start_with pays that
-  // only when it actually substitutes). hidden_params rides by value and is
-  // moved, never copied.
   Object::EntryCore& e = obj_->core(a.entry);
   Object::Slot& s = e.slots[a.slot];
   if (s.state != Object::SlotState::kAccepted) {
@@ -146,11 +144,20 @@ std::optional<ValueList> Manager::start_locked(const Accepted& a,
   }
   if (s.abandoned) {
     // The caller was failed (deadline/cancel) between accept and start:
-    // never launch the body (see start_with).
+    // never launch the body. The slot goes straight to Ready carrying the
+    // typed error, so the manager's await/finish protocol runs unchanged
+    // and reclaims it.
     s.state = Object::SlotState::kReady;
     obj_->note_progress();
     e.ready.push_back(e.slots, a.slot);
     return std::nullopt;
+  }
+  if (iparams && iparams->size() != e.icept_params) {
+    raise(ErrorCode::kArityMismatch,
+          "start " + e.decl.name + ": manager must supply the " +
+              std::to_string(e.icept_params) +
+              " intercepted parameter(s), got " +
+              std::to_string(iparams->size()));
   }
   if (hidden_params.size() != e.impl.hidden_params) {
     raise(ErrorCode::kArityMismatch,
@@ -159,9 +166,26 @@ std::optional<ValueList> Manager::start_locked(const Accepted& a,
               " hidden parameter(s), got " +
               std::to_string(hidden_params.size()));
   }
-  ValueList full = std::move(s.call->params);
+  // Body parameter list = intercepted prefix, the caller's remaining
+  // parameters, then the hidden parameters. The caller's parameters are
+  // moved out of the record (the kernel never reads them after start); when
+  // the manager re-supplies the prefix unchanged, that is the caller's whole
+  // list, with no per-call copy. hidden_params rides by value and is moved.
+  ValueList full;
+  if (iparams) {
+    full = std::move(*iparams);
+    full.reserve(full.size() + (s.call->params.size() - e.icept_params) +
+                 hidden_params.size());
+    full.insert(full.end(),
+                std::make_move_iterator(
+                    s.call->params.begin() +
+                    static_cast<std::ptrdiff_t>(e.icept_params)),
+                std::make_move_iterator(s.call->params.end()));
+  } else {
+    full = std::move(s.call->params);
+    full.reserve(full.size() + hidden_params.size());
+  }
   s.call->params.clear();
-  full.reserve(full.size() + hidden_params.size());
   full.insert(full.end(), std::make_move_iterator(hidden_params.begin()),
               std::make_move_iterator(hidden_params.end()));
   s.state = Object::SlotState::kRunning;
@@ -169,6 +193,48 @@ std::optional<ValueList> Manager::start_locked(const Accepted& a,
   obj_->trace(e, s.call->id, a.slot, CallPhase::kStarted);
   obj_->note_progress();
   return full;
+}
+
+void Manager::start_body(const Accepted& a, std::optional<ValueList> iparams,
+                         ValueList hidden_params, bool executing) {
+  // The body runs right here on the manager thread, instead of costing a
+  // handoff to a pooled worker and one back, when the manager would sit in
+  // await on it anyway (executing) or its entry declares it short
+  // (ImplDecl::inline_start). Slot states, trace events and counters are
+  // those of a pooled start: run_body is the pooled task's own
+  // body-plus-epilogue, and it leaves the slot Ready for the next await.
+  // Calls carrying >= kZeroCopySliceThreshold payload bytes still take the
+  // pool, and so does a start that begins once stop or a watchdog abort is
+  // pending (the manager must reach a primitive to unwind). DESIGN.md §4.13.
+  std::optional<ValueList> full;
+  bool run_inline = false;
+  {
+    std::scoped_lock lock(obj_->mu_);
+    full = start_locked(a, std::move(iparams), std::move(hidden_params));
+    run_inline = full &&
+                 (executing || obj_->core(a.entry).impl.inline_start) &&
+                 payload_bytes(*full) < kZeroCopySliceThreshold &&
+                 !obj_->stop_source_.stop_requested() &&
+                 !obj_->mgr_abort_.load(std::memory_order_acquire);
+    obj_->mgr_inline_ = run_inline;
+  }
+  if (!run_inline) {
+    if (full) obj_->submit_body(a.entry, a.slot, std::move(*full));
+    return;
+  }
+  // The watchdog reports an inline body as the await it replaces.
+  obj_->mgr_activity_.store(Object::kActAwaitWait, std::memory_order_relaxed);
+  obj_->run_body(a.entry, a.slot, std::move(*full));
+  std::scoped_lock lock(obj_->mu_);
+  if (obj_->manager_retired()) {
+    // stop() or a watchdog escalation retired this thread mid-body and has
+    // already failed the call and applied the supervision policy.
+    raise(stop_requested() ? ErrorCode::kObjectStopped : ErrorCode::kTimeout,
+          "manager of object " + obj_->name() +
+              " retired while running an inline body");
+  }
+  obj_->mgr_inline_ = false;
+  obj_->mgr_activity_.store(Object::kActUserCode, std::memory_order_relaxed);
 }
 
 void Manager::start_compatible(const Accepted& a) {
@@ -277,67 +343,6 @@ std::size_t Manager::start_compatible_pending(EntryRef entry) {
   }
   if (!launch.empty()) obj_->executor_->submit_batch(std::move(launch));
   return n;
-}
-
-void Manager::start_with(const Accepted& a, ValueList iparams,
-                         ValueList hidden_params) {
-  assert_manager_thread("start");
-  ValueList full;
-  std::size_t entry_idx = a.entry;
-  std::size_t slot_idx = a.slot;
-  {
-    std::scoped_lock lock(obj_->mu_);
-    Object::EntryCore& e = obj_->core(entry_idx);
-    Object::Slot& s = e.slots[slot_idx];
-    if (s.state != Object::SlotState::kAccepted) {
-      raise(ErrorCode::kProtocolViolation,
-            "start on " + e.decl.name + "[" + std::to_string(slot_idx) +
-                "] which is not in the Accepted state");
-    }
-    if (s.abandoned) {
-      // The caller was failed (deadline/cancel) between accept and start:
-      // never launch the body. The slot goes straight to Ready carrying the
-      // typed error, so the manager's await/finish protocol runs unchanged
-      // and reclaims it.
-      s.state = Object::SlotState::kReady;
-      obj_->note_progress();
-      e.ready.push_back(e.slots, slot_idx);
-      return;
-    }
-    if (iparams.size() != e.icept_params) {
-      raise(ErrorCode::kArityMismatch,
-            "start " + e.decl.name + ": manager must supply the " +
-                std::to_string(e.icept_params) +
-                " intercepted parameter(s), got " +
-                std::to_string(iparams.size()));
-    }
-    if (hidden_params.size() != e.impl.hidden_params) {
-      raise(ErrorCode::kArityMismatch,
-            "start " + e.decl.name + ": expects " +
-                std::to_string(e.impl.hidden_params) +
-                " hidden parameter(s), got " +
-                std::to_string(hidden_params.size()));
-    }
-    // Body parameter list = manager-supplied intercepted prefix, the
-    // caller's remaining parameters, then the hidden parameters. The
-    // caller's tail is moved out of the record — the kernel never reads the
-    // parameters again after start.
-    full = std::move(iparams);
-    full.reserve(full.size() + (s.call->params.size() - e.icept_params) +
-                 hidden_params.size());
-    full.insert(full.end(),
-                std::make_move_iterator(
-                    s.call->params.begin() +
-                    static_cast<std::ptrdiff_t>(e.icept_params)),
-                std::make_move_iterator(s.call->params.end()));
-    full.insert(full.end(), std::make_move_iterator(hidden_params.begin()),
-                std::make_move_iterator(hidden_params.end()));
-    s.state = Object::SlotState::kRunning;
-    ++e.starts;
-    obj_->trace(e, s.call->id, slot_idx, CallPhase::kStarted);
-    obj_->note_progress();
-  }
-  obj_->submit_body(entry_idx, slot_idx, std::move(full));
 }
 
 Awaited Manager::await(EntryRef entry) {
@@ -563,42 +568,9 @@ void Manager::fail(const Awaited& w, const std::string& why) {
 
 Awaited Manager::execute(const Accepted& a, ValueList hidden_params) {
   // execute = start; await; finish (§2.3). The manager would sit in await on
-  // this one call for the whole body, so the body runs right here on the
-  // manager thread instead of costing a handoff to a pooled worker and one
-  // back. Slot states, trace events and counters are those of start/await/
-  // finish: run_body is the pooled task's own body-plus-epilogue. Calls
-  // carrying >= kZeroCopySliceThreshold payload bytes still take the pool,
-  // and so does an execute that begins once stop or a watchdog abort is
-  // pending (the manager must reach await to unwind). DESIGN.md §4.13.
+  // this one call for the whole body, so start_body runs the body inline.
   assert_manager_thread("execute");
-  std::optional<ValueList> full;
-  bool run_inline = false;
-  {
-    std::scoped_lock lock(obj_->mu_);
-    full = start_locked(a, std::move(hidden_params));
-    run_inline = full && payload_bytes(*full) < kZeroCopySliceThreshold &&
-                 !obj_->stop_source_.stop_requested() &&
-                 !obj_->mgr_abort_.load(std::memory_order_acquire);
-    obj_->mgr_inline_ = run_inline;
-  }
-  if (run_inline) {
-    // The watchdog reports an inline body as the await it replaces.
-    obj_->mgr_activity_.store(Object::kActAwaitWait,
-                              std::memory_order_relaxed);
-    obj_->run_body(a.entry, a.slot, std::move(*full));
-    std::scoped_lock lock(obj_->mu_);
-    if (obj_->manager_retired()) {
-      // stop() or a watchdog escalation retired this thread mid-body and
-      // has already failed the call and applied the supervision policy.
-      raise(stop_requested() ? ErrorCode::kObjectStopped : ErrorCode::kTimeout,
-            "manager of object " + obj_->name() +
-                " retired while running an execute'd body");
-    }
-    obj_->mgr_inline_ = false;
-    obj_->mgr_activity_.store(Object::kActUserCode, std::memory_order_relaxed);
-  } else if (full) {
-    obj_->submit_body(a.entry, a.slot, std::move(*full));
-  }
+  start_body(a, std::nullopt, std::move(hidden_params), /*executing=*/true);
   Awaited w = await(a);
   finish(w);
   return w;

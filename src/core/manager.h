@@ -69,7 +69,10 @@ class Manager {
 
   /// Starts the body asynchronously w.r.t. the manager, re-supplying the
   /// intercepted parameters unchanged and appending `hidden_params`
-  /// (must match the entry's ImplDecl::hidden_params arity).
+  /// (must match the entry's ImplDecl::hidden_params arity). An entry
+  /// declared ImplDecl::inline_start runs the body here on the manager
+  /// thread instead and returns with its slot Ready, under the same
+  /// payload cutoff as execute (DESIGN.md §4.13).
   void start(const Accepted& a, ValueList hidden_params = {});
 
   /// As start(), but the manager substitutes `iparams` for the intercepted
@@ -87,7 +90,9 @@ class Manager {
   /// conflicting group drains. Either way the kernel completes the caller
   /// directly when the body returns — do NOT await/finish such a call. The
   /// entry must carry compatibility annotations and must not declare hidden
-  /// params/results (those need the await/finish round-trip).
+  /// params/results (those need the await/finish round-trip). Bodies always
+  /// go to the pool: ImplDecl::inline_start is ignored here and by
+  /// start_compatible_pending.
   void start_compatible(const Accepted& a);
 
   /// Batched accept + start_compatible: accepts attached calls of `entry`
@@ -153,12 +158,20 @@ class Manager {
 
   explicit Manager(Object& obj) : obj_(&obj) {}
 
-  /// start()'s kernel half (requires the kernel lock): validates `a`, moves
-  /// its slot to Running and returns the body's parameter list. Returns
-  /// nullopt for a call abandoned since accept; its slot goes straight to
-  /// Ready for the manager's await/finish to reclaim.
+  /// The kernel half of start, start_with and execute (requires the kernel
+  /// lock): validates `a`, moves its slot to Running and returns the body's
+  /// parameter list, with `iparams` (start_with) in place of the
+  /// intercepted prefix. Returns nullopt for a call abandoned since accept;
+  /// its slot goes straight to Ready for the manager's await/finish to
+  /// reclaim.
   std::optional<ValueList> start_locked(const Accepted& a,
+                                        std::optional<ValueList> iparams,
                                         ValueList hidden_params);
+  /// start_locked, then runs the body: inline on the manager thread for an
+  /// execute or an ImplDecl::inline_start entry (below the payload cutoff,
+  /// and not once stop or a watchdog abort is pending), else on the pool.
+  void start_body(const Accepted& a, std::optional<ValueList> iparams,
+                  ValueList hidden_params, bool executing);
   /// Throws kObjectStopped when the object is stopping (manager unwinds).
   void check_stop() const;
   void assert_manager_thread(const char* op) const;

@@ -512,9 +512,10 @@ class Object {
   /// Runs one started intercepted body (slot is already kRunning and holds
   /// the call) and its completion epilogue, on whichever thread calls it: a
   /// pooled worker via make_body_task, or the manager thread itself for an
-  /// inline execute. The epilogue routes on Slot::multiactive: the serial
-  /// path parks the result for await/finish, the compat path completes the
-  /// caller directly and drains the deferred queue. Call without mu_.
+  /// inline body (execute, or start of an ImplDecl::inline_start entry).
+  /// The epilogue routes on Slot::multiactive: the serial path parks the
+  /// result for await/finish, the compat path completes the caller directly
+  /// and drains the deferred queue. Call without mu_.
   void run_body(std::size_t entry_idx, std::size_t slot_idx,
                 ValueList params);
   /// Wraps run_body as an executor task. Requires mu_ (reads global_key;
@@ -523,7 +524,7 @@ class Object {
                                   ValueList full_params);
   void submit_body(std::size_t entry_idx, std::size_t slot_idx,
                    ValueList full_params);
-  /// Detaches the manager thread while it is inside an inline execute'd body
+  /// Detaches the manager thread while it is inside an inline body
   /// (mgr_inline_): it becomes an ordinary body thread whose slot the caller
   /// (stop, watchdog escalation) fails like any started body, and it is
   /// joined in stop() once that body returns. Its manager primitives refuse
@@ -595,7 +596,7 @@ class Object {
   std::unique_ptr<sched::Executor> executor_;
   std::jthread manager_thread_;
   std::atomic<std::thread::id> manager_thread_id_{};
-  /// The manager thread is running an execute'd body inline (guarded by
+  /// The manager thread is running a body inline (guarded by
   /// mu_): it reaches no blocking primitive until the body returns, so stop
   /// and watchdog escalation retire it instead of waiting for it.
   bool mgr_inline_ = false;

@@ -181,9 +181,9 @@ class Value {
 /// copying. The codec carries string/blob payloads at or above it as Buffer
 /// slices through frame assembly (and aliases them out of owned frames on
 /// decode) — smaller ones are cheaper to copy into the arena than to track
-/// as segments. The kernel runs an execute'd body on the manager thread only
-/// while its parameters carry fewer payload bytes than this (DESIGN.md
-/// §4.13).
+/// as segments. The kernel runs a body on the manager thread (execute, or
+/// start of an ImplDecl::inline_start entry) only while its parameters carry
+/// fewer payload bytes than this (DESIGN.md §4.13).
 inline constexpr std::size_t kZeroCopySliceThreshold = 256;
 
 /// Convenience builder: vals(1, "x", true) -> ValueList.

@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <numeric>
 #include <set>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -16,6 +19,7 @@
 #include "apps/parallel_buffer.h"
 #include "apps/readers_writers.h"
 #include "apps/spooler.h"
+#include "net/net.h"
 #include "support/rng.h"
 
 namespace alps::apps {
@@ -240,6 +244,106 @@ TEST(Dictionary, ZipfWorkloadSavesWork) {
   auto s = dict.stats();
   EXPECT_EQ(s.requests, 200u);
   EXPECT_LT(s.executed, s.requests);
+}
+
+// Voluntary context switches summed over this process's threads whose name
+// starts with `prefix` (Linux /proc). A parked pool worker adds none until a
+// task is submitted to its pool.
+std::uint64_t voluntary_switches(const std::string& prefix) {
+  std::uint64_t total = 0;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    std::ifstream comm(task.path() / "comm");
+    std::string name;
+    std::getline(comm, name);
+    if (name.rfind(prefix, 0) != 0) continue;
+    std::ifstream status(task.path() / "status");
+    for (std::string line; std::getline(status, line);) {
+      constexpr std::string_view kKey = "voluntary_ctxt_switches:";
+      if (line.rfind(kKey, 0) == 0) {
+        total += std::stoull(line.substr(kKey.size()));
+      }
+    }
+  }
+  return total;
+}
+
+constexpr std::uint64_t kSequentialSearches = 50;
+
+// Sequential searches, so no combining: every request runs its own body.
+// Counting starts once the freshly started pool workers have parked (their
+// switch count holds still), so their first park is not counted.
+std::uint64_t pool_wakeups_over_searches(Dictionary& dict,
+                                         const std::string& name) {
+  const std::string workers = name + "/p";
+  std::uint64_t before = voluntary_switches(workers);
+  for (int i = 0; i < 100; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const std::uint64_t now = voluntary_switches(workers);
+    if (now == before) break;
+    before = now;
+  }
+  for (std::uint64_t i = 0; i < kSequentialSearches; ++i) {
+    EXPECT_EQ(dict.search("w000002"), "meaning of w000002");
+  }
+  return voluntary_switches(workers) - before;
+}
+
+TEST(Dictionary, ShortSearchBodyRunsOnTheManagerThread) {
+  // Default options: search_time 0 declares Search inline_start, so no body
+  // is handed to the Dictionary's pool and its parked workers stay parked.
+  // A pooled search wakes a worker at least once.
+  Dictionary dict(support::make_word_list(4), {.object_name = "DictInline"});
+  EXPECT_LT(pool_wakeups_over_searches(dict, "DictInline"),
+            kSequentialSearches / 10);
+  EXPECT_GT(voluntary_switches("mgr:DictInline"), 0u);
+  EXPECT_EQ(dict.stats().executed, kSequentialSearches);
+}
+
+TEST(Dictionary, SleepingSearchBodyStaysPooled) {
+  // Each pooled body sleeps on a worker: at least one switch per search.
+  Dictionary dict(support::make_word_list(4),
+                  {.search_time = std::chrono::microseconds(100),
+                   .object_name = "DictPooled"});
+  EXPECT_GE(pool_wakeups_over_searches(dict, "DictPooled"),
+            kSequentialSearches);
+  EXPECT_EQ(dict.stats().executed, kSequentialSearches);
+}
+
+// The kernel checks a call's arity, not its kinds; the manager reads the
+// word itself, so a non-string word must fail that call and nothing else.
+TEST(Dictionary, NonStringSearchFailsTypedAndManagerSurvives) {
+  Dictionary dict(support::make_word_list(4), {});
+  const CallOptions opts{.deadline = std::chrono::seconds(5)};
+  CallHandle bad = dict.object().async_call("Search", {Value(42)}, opts);
+  try {
+    bad.get();
+    ADD_FAILURE() << "a non-string Search must fail";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kBodyFailed);
+  }
+  CallHandle good = dict.object().async_call("Search", vals("w000001"), opts);
+  EXPECT_EQ(good.get()[0].as_string(), "meaning of w000001");
+  EXPECT_EQ(dict.object().manager_error(), nullptr);
+  EXPECT_EQ(dict.stats().requests, 1u);
+}
+
+TEST(Dictionary, NonStringSearchOverRpcFailsTypedAndManagerSurvives) {
+  Dictionary dict(support::make_word_list(4), {});
+  net::Network network(net::LinkLatency{std::chrono::microseconds(50), {}});
+  net::Node client(network, "client");
+  net::Node server(network, "server");
+  server.host(dict.object());
+  net::CallOptions opts;
+  opts.deadline = std::chrono::seconds(5);
+
+  auto bad = client.call("Dictionary", "Search", {Value(42)}, opts);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.error().cause(), net::RpcCause::kRemoteError);
+  auto good = client.call("Dictionary", "Search", vals("w000001"), opts);
+  ASSERT_TRUE(good.ok()) << good.error().what();
+  EXPECT_EQ(good.value()[0].as_string(), "meaning of w000001");
+  EXPECT_EQ(dict.object().manager_error(), nullptr);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <set>
 #include <thread>
 #include <vector>
@@ -642,6 +643,176 @@ TEST(Manager, ExecuteRunsSmallCallsInlineAndLargePayloadsOnThePool) {
     EXPECT_EQ(st.finishes, 6u);
     obj.stop();
   }
+}
+
+// ---------------------------------------------------------------------------
+// An entry declared ImplDecl::inline_start has start run its body on the
+// manager thread, leaving the slot Ready for await; everything else about
+// the protocol is that of a pooled start. Undeclared entries keep the
+// paper's asynchronous start.
+// ---------------------------------------------------------------------------
+TEST(InlineStart, DeclaredBodyRunsOnTheManagerThreadOthersOnThePool) {
+  for (auto model : {sched::ProcessModel::kSlotBound,
+                     sched::ProcessModel::kPooled,
+                     sched::ProcessModel::kDynamic}) {
+    Object obj("InlineWhere", ObjectOptions{.model = model});
+    auto in = obj.define_entry({.name = "In", .params = 0, .results = 1});
+    auto out = obj.define_entry({.name = "Out", .params = 0, .results = 1});
+    std::atomic<std::thread::id> manager_id{};
+    auto body = [&](BodyCtx&) -> ValueList {
+      return {Value(std::this_thread::get_id() == manager_id.load())};
+    };
+    obj.implement(in, ImplDecl{.array = 2, .inline_start = true}, body);
+    obj.implement(out, ImplDecl{.array = 2}, body);
+    std::atomic<bool> ready_after_start{false};
+    obj.set_manager({intercept(in), intercept(out)}, [&](Manager& m) {
+      manager_id = std::this_thread::get_id();
+      Accepted a = m.accept(in);
+      m.start(a);
+      // The body already ran: await finds the slot Ready without waiting.
+      std::optional<Awaited> w = m.try_await(in);
+      ready_after_start = w.has_value();
+      if (w) m.finish(*w);
+      Select()
+          .on(accept_guard(in).then([&](Accepted x) { m.start(x); }))
+          .on(accept_guard(out).then([&](Accepted x) { m.start(x); }))
+          .on(await_guard(in).then([&](Awaited w) { m.finish(w); }))
+          .on(await_guard(out).then([&](Awaited w) { m.finish(w); }))
+          .loop(m);
+    });
+    obj.start();
+    EXPECT_TRUE(obj.call(in, {})[0].as_bool());
+    EXPECT_TRUE(ready_after_start.load());
+    EXPECT_TRUE(obj.call(in, {})[0].as_bool());
+    EXPECT_FALSE(obj.call(out, {})[0].as_bool());
+    const ObjectStats st = obj.stats();
+    EXPECT_EQ(st.entries[0].starts, 2u);
+    EXPECT_EQ(st.entries[0].finishes, 2u);
+    EXPECT_EQ(st.entries[1].starts, 1u);
+    obj.stop();
+  }
+}
+
+TEST(InlineStart, BodyExceptionSurfacesAsAwaitedFailed) {
+  Object obj("InlineErr");
+  auto e = obj.define_entry({.name = "E", .params = 0, .results = 0});
+  std::atomic<std::thread::id> manager_id{};
+  std::atomic<bool> on_manager{false};
+  obj.implement(e, ImplDecl{.inline_start = true}, [&](BodyCtx&) -> ValueList {
+    on_manager = std::this_thread::get_id() == manager_id.load();
+    throw std::runtime_error("inline body exploded");
+  });
+  std::atomic<bool> saw_failed{false};
+  obj.set_manager({intercept(e)}, [&](Manager& m) {
+    manager_id = std::this_thread::get_id();
+    while (!m.stop_requested()) {
+      Accepted a = m.accept(e);
+      m.start(a);
+      Awaited w = m.await(a);
+      saw_failed = w.failed && w.error != nullptr;
+      m.finish(w);
+    }
+  });
+  obj.start();
+  EXPECT_THROW(obj.call(e, {}), std::runtime_error);
+  EXPECT_TRUE(saw_failed.load());
+  EXPECT_TRUE(on_manager.load());
+  // The manager survived the body's exception and serves the next call.
+  EXPECT_THROW(obj.call(e, {}), std::runtime_error);
+  EXPECT_EQ(obj.manager_error(), nullptr);
+  obj.stop();
+}
+
+TEST(InlineStart, HiddenParamsAndResultsRoundTripThroughStartWith) {
+  Object obj("InlineHidden");
+  auto e = obj.define_entry({.name = "E", .params = 2, .results = 2});
+  std::atomic<std::thread::id> manager_id{};
+  obj.implement(
+      e, ImplDecl{.hidden_params = 1, .hidden_results = 1,
+                  .inline_start = true},
+      [&](BodyCtx& ctx) -> ValueList {
+        // params: [substituted prefix, caller's tail, hidden]
+        const std::int64_t hidden = ctx.param(2).as_int();
+        const bool on_manager = std::this_thread::get_id() == manager_id.load();
+        return {Value(ctx.param(0).as_int() + hidden),
+                Value(ctx.param(1).as_int()), Value(on_manager)};
+      });
+  std::vector<ValueList> awaited;
+  obj.set_manager({intercept(e).params(1).results(1)}, [&](Manager& m) {
+    manager_id = std::this_thread::get_id();
+    while (!m.stop_requested()) {
+      Accepted a = m.accept(e);
+      m.start_with(a, vals(a.params[0].as_int() * 10), vals(100));
+      Awaited w = m.await(a);
+      awaited.push_back(w.results);  // [intercepted result, hidden result]
+      m.finish(w);
+    }
+  });
+  obj.start();
+  ValueList out = obj.call(e, vals(7, 8));
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].as_int(), 170);  // 7*10 from start_with + hidden 100
+  EXPECT_EQ(out[1].as_int(), 8);    // the caller's tail, untouched
+  obj.stop();
+  ASSERT_EQ(awaited.size(), 1u);
+  ASSERT_EQ(awaited[0].size(), 2u);
+  EXPECT_EQ(awaited[0][0].as_int(), 170);
+  EXPECT_TRUE(awaited[0][1].as_bool()) << "the body ran on the manager";
+}
+
+TEST(InlineStart, CallAbandonedBetweenAcceptAndStartNeverRunsItsBody) {
+  Object obj("InlineAbandon");
+  auto e = obj.define_entry({.name = "E", .params = 0, .results = 0});
+  std::atomic<int> body_runs{0};
+  obj.implement(e, ImplDecl{.inline_start = true}, [&](BodyCtx&) -> ValueList {
+    ++body_runs;
+    return {};
+  });
+  std::atomic<bool> accepted{false}, cancelled{false}, saw_abandoned{false};
+  obj.set_manager({intercept(e)}, [&](Manager& m) {
+    Accepted a = m.accept(e);
+    accepted = true;
+    while (!cancelled) std::this_thread::yield();
+    m.start(a);  // abandoned fast path: no body, slot straight to Ready
+    Awaited w = m.await(a);
+    saw_abandoned = w.abandoned;
+    m.finish(w);
+    while (!m.stop_requested()) m.execute(m.accept(e));
+  });
+  obj.start();
+  auto token = std::make_shared<CancelToken>();
+  CallHandle h = obj.async_call(e, {}, CallOptions{.cancel = token});
+  while (!accepted) std::this_thread::yield();
+  token->request_cancel();
+  EXPECT_THROW(h.get(), Error);
+  cancelled = true;
+  obj.call(e, {});  // served after the abandoned call's finish
+  EXPECT_TRUE(saw_abandoned.load());
+  EXPECT_EQ(body_runs.load(), 1);
+  obj.stop();
+}
+
+TEST(InlineStart, ParameterOfThresholdBytesTakesThePool) {
+  Object obj("InlineCutoff");
+  auto e = obj.define_entry({.name = "E", .params = 1, .results = 1});
+  std::atomic<std::thread::id> manager_id{};
+  obj.implement(e, ImplDecl{.inline_start = true}, [&](BodyCtx&) -> ValueList {
+    return {Value(std::this_thread::get_id() == manager_id.load())};
+  });
+  obj.set_manager({intercept(e)}, [&](Manager& m) {
+    manager_id = std::this_thread::get_id();
+    Select()
+        .on(accept_guard(e).then([&](Accepted a) { m.start(a); }))
+        .on(await_guard(e).then([&](Awaited w) { m.finish(w); }))
+        .loop(m);
+  });
+  obj.start();
+  const std::size_t n = kZeroCopySliceThreshold;
+  EXPECT_TRUE(obj.call(e, {Value(std::string(n - 1, 's'))})[0].as_bool());
+  EXPECT_FALSE(obj.call(e, {Value(std::string(n, 's'))})[0].as_bool());
+  EXPECT_FALSE(obj.call(e, {Value(Blob(n, 0xab))})[0].as_bool());
+  EXPECT_TRUE(obj.call(e, {Value(1)})[0].as_bool());
+  obj.stop();
 }
 
 }  // namespace

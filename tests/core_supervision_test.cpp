@@ -663,17 +663,23 @@ TEST(Watchdog, EscalationAbortsStalledManagerAndQuarantines) {
 }
 
 // ---------------------------------------------------------------------------
-// An execute'd body blocked on a call only its own manager could serve.
-// Inline, the manager thread is the one stuck in the body; stop() and
-// watchdog escalation must still give the outcomes a pooled body gets. Each
-// probe runs both ways: a 1-byte parameter runs the body inline, a
+// A body blocked on a call only its own manager could serve, launched by
+// execute or by start of an ImplDecl::inline_start entry. Inline, the
+// manager thread is the one stuck in the body; stop() and watchdog
+// escalation must still give the outcomes a pooled body gets. Each probe
+// runs both ways: a 1-byte parameter runs the body inline, a
 // kZeroCopySliceThreshold-byte one sends it to the pool (the reference).
 // ---------------------------------------------------------------------------
 
+// Bit-fields keep the case two bytes, the size gtest prints in the names
+// of the InlineExecute cases.
 struct BlockedSiblingCase {
   SupervisionMode mode;
-  bool run_inline;
+  bool run_inline : 1;
+  /// start + await_guard/finish on inline_start entries, not execute.
+  bool via_start : 1 = false;
 };
+static_assert(sizeof(BlockedSiblingCase) == 2);
 
 std::string case_name(
     const ::testing::TestParamInfo<BlockedSiblingCase>& info) {
@@ -701,25 +707,38 @@ class BlockedSibling {
     outer_ = obj_.define_entry({.name = "Outer", .params = 1, .results = 0});
     inner_ = obj_.define_entry({.name = "Inner", .params = 0, .results = 0});
     ping_ = obj_.define_entry({.name = "Ping", .params = 0, .results = 0});
-    obj_.implement(outer_, [this](BodyCtx& ctx) -> ValueList {
+    const ImplDecl impl{.inline_start = c.via_start};
+    obj_.implement(outer_, impl, [this](BodyCtx& ctx) -> ValueList {
       on_manager_ = std::this_thread::get_id() == manager_id_.load();
       entered_.open();
       inner_outcome_ = outcome_of(ctx.call_sibling(inner_, {}));
       body_done_.open();
       return {};
     });
-    obj_.implement(inner_, [](BodyCtx&) -> ValueList { return {}; });
-    obj_.implement(ping_, [](BodyCtx&) -> ValueList { return {}; });
+    obj_.implement(inner_, impl, [](BodyCtx&) -> ValueList { return {}; });
+    obj_.implement(ping_, impl, [](BodyCtx&) -> ValueList { return {}; });
     obj_.set_manager(
         {intercept(outer_), intercept(inner_), intercept(ping_)},
-        [this](Manager& m) {
+        [this, via_start = c.via_start](Manager& m) {
           const bool first = incarnations_.fetch_add(1) == 0;
           if (first) manager_id_ = std::this_thread::get_id();
-          auto execute = [&m](Accepted a) { m.execute(a); };
+          auto run = [&m, via_start](Accepted a) {
+            if (via_start) {
+              m.start(a);
+            } else {
+              m.execute(a);
+            }
+          };
+          auto finish = [&m](Awaited w) { m.finish(w); };
           Select sel;
-          sel.on(accept_guard(outer_).then(execute))
-              .on(accept_guard(ping_).then(execute));
-          if (!first) sel.on(accept_guard(inner_).then(execute));
+          sel.on(accept_guard(outer_).then(run))
+              .on(accept_guard(ping_).then(run));
+          if (!first) sel.on(accept_guard(inner_).then(run));
+          if (via_start) {
+            sel.on(await_guard(outer_).then(finish))
+                .on(await_guard(ping_).then(finish))
+                .on(await_guard(inner_).then(finish));
+          }
           sel.loop(m);
         });
     obj_.start();
@@ -808,6 +827,17 @@ INSTANTIATE_TEST_SUITE_P(
         BlockedSiblingCase{SupervisionMode::kQuarantine, false},
         BlockedSiblingCase{SupervisionMode::kRestart, true},
         BlockedSiblingCase{SupervisionMode::kRestart, false}),
+    case_name);
+
+INSTANTIATE_TEST_SUITE_P(
+    InlineStart, BlockedSiblingTest,
+    ::testing::Values(
+        BlockedSiblingCase{SupervisionMode::kFailFast, true, true},
+        BlockedSiblingCase{SupervisionMode::kFailFast, false, true},
+        BlockedSiblingCase{SupervisionMode::kQuarantine, true, true},
+        BlockedSiblingCase{SupervisionMode::kQuarantine, false, true},
+        BlockedSiblingCase{SupervisionMode::kRestart, true, true},
+        BlockedSiblingCase{SupervisionMode::kRestart, false, true}),
     case_name);
 
 // ---------------------------------------------------------------------------
