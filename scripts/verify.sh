@@ -26,9 +26,13 @@ TIER1_ONLY=0
 if [[ "${1:-}" == "--stress" ]]; then
   # Interleavings a single run rarely hits: one core is where posting-thread
   # socket writes and the sender thread interleave worst (every handoff is a
-  # preemption); all cores is where they truly overlap.
+  # preemption); all cores is where they truly overlap. The supervision and
+  # multiactive suites drive the teardown table (stop, quarantine, restart)
+  # against running bodies, where restart races have only shown under
+  # repetition.
   STRESS_SUITES=(net_socket_test net_routing_test core_object_test
-                 core_property_test)
+                 core_property_test core_supervision_test
+                 core_multiactive_test)
   cmake -B build -S . >/dev/null
   cmake --build build -j "$JOBS" --target "${STRESS_SUITES[@]}"
   for pin in "taskset -c 0" ""; do

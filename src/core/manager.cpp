@@ -72,26 +72,7 @@ Accepted Manager::accept(EntryRef entry) {
     support::EventCount::Ticket ticket(obj_->mgr_wake_);
     {
       std::scoped_lock lock(obj_->mu_);
-      obj_->drain_intake_locked();
-      check_stop();
-      if (!e.attached.empty()) {
-        const std::size_t slot_idx = e.attached.pop_front(e.slots);
-        Object::Slot& s = e.slots[slot_idx];
-        s.state = Object::SlotState::kAccepted;
-        ++e.accepts;
-        obj_->update_pending_locked(e);
-        obj_->trace(e, s.call->id, slot_idx, CallPhase::kAccepted);
-        obj_->note_progress();
-        Accepted a;
-        a.entry = entry.index();
-        a.slot = slot_idx;
-        // Intercepted-prefix copy: O(icept_params) refcount bumps — string
-        // and blob payloads are shared, not duplicated (DESIGN.md §4.9).
-        a.params.assign(s.call->params.begin(),
-                        s.call->params.begin() +
-                            static_cast<std::ptrdiff_t>(e.icept_params));
-        return a;
-      }
+      if (auto a = try_accept_locked(entry.index())) return std::move(*a);
     }
     ticket.wait();
   }
@@ -99,25 +80,20 @@ Accepted Manager::accept(EntryRef entry) {
 
 std::optional<Accepted> Manager::try_accept(EntryRef entry) {
   assert_manager_thread("try_accept");
-  Object::EntryCore& e = obj_->core_checked(entry, "try_accept");
+  obj_->core_checked(entry, "try_accept");
   std::scoped_lock lock(obj_->mu_);
+  return try_accept_locked(entry.index());
+}
+
+std::optional<Accepted> Manager::try_accept_locked(std::size_t entry) {
+  Object::EntryCore& e = obj_->core(entry);
   obj_->drain_intake_locked();
   check_stop();
   if (e.attached.empty()) return std::nullopt;
-  const std::size_t slot_idx = e.attached.pop_front(e.slots);
-  Object::Slot& s = e.slots[slot_idx];
-  s.state = Object::SlotState::kAccepted;
-  ++e.accepts;
-  obj_->update_pending_locked(e);
-  obj_->trace(e, s.call->id, slot_idx, CallPhase::kAccepted);
+  const std::size_t slot = e.attached.front();
+  obj_->accept_locked(entry, slot);
   obj_->note_progress();
-  Accepted a;
-  a.entry = entry.index();
-  a.slot = slot_idx;
-  a.params.assign(s.call->params.begin(),
-                  s.call->params.begin() +
-                      static_cast<std::ptrdiff_t>(e.icept_params));
-  return a;
+  return obj_->accepted(entry, slot);
 }
 
 void Manager::start(const Accepted& a, ValueList hidden_params) {
@@ -237,6 +213,22 @@ void Manager::start_body(const Accepted& a, std::optional<ValueList> iparams,
   obj_->mgr_activity_.store(Object::kActUserCode, std::memory_order_relaxed);
 }
 
+void Manager::check_compat_path(std::size_t entry, const char* op) const {
+  const Object::EntryCore& e = obj_->core(entry);
+  if (!e.compat_participant) {
+    raise(ErrorCode::kProtocolViolation,
+          std::string(op) + " on entry " + e.decl.name +
+              " without compatibility annotations (use compatible_with/"
+              "serial_group on the EntryDecl)");
+  }
+  if (e.impl.hidden_params > 0 || e.impl.hidden_results > 0) {
+    raise(ErrorCode::kProtocolViolation,
+          std::string(op) + " on entry " + e.decl.name +
+              ": hidden params/results need the await/finish protocol and "
+              "are not supported on the compat path");
+  }
+}
+
 void Manager::start_compatible(const Accepted& a) {
   // Multiactive dispatch (DESIGN.md §4.8): launch the accepted call if it is
   // compatible with every in-flight group, otherwise park it kernel-side —
@@ -254,18 +246,7 @@ void Manager::start_compatible(const Accepted& a) {
                 std::to_string(a.slot) +
                 "] which is not in the Accepted state");
     }
-    if (!e.compat_participant) {
-      raise(ErrorCode::kProtocolViolation,
-            "start_compatible on entry " + e.decl.name +
-                " without compatibility annotations (use compatible_with/"
-                "serial_group on the EntryDecl)");
-    }
-    if (e.impl.hidden_params > 0 || e.impl.hidden_results > 0) {
-      raise(ErrorCode::kProtocolViolation,
-            "start_compatible on entry " + e.decl.name +
-                ": hidden params/results need the await/finish protocol and "
-                "are not supported on the compat path");
-    }
+    check_compat_path(a.entry, "start_compatible");
     if (s.abandoned) {
       // Caller already failed (deadline/cancel between accept and start):
       // reclaim immediately — no body, no deferral.
@@ -314,25 +295,12 @@ std::size_t Manager::start_compatible_pending(EntryRef entry) {
     std::scoped_lock lock(obj_->mu_);
     obj_->drain_intake_locked();
     check_stop();
-    if (!e.compat_participant) {
-      raise(ErrorCode::kProtocolViolation,
-            "start_compatible_pending on entry " + e.decl.name +
-                " without compatibility annotations");
-    }
-    if (e.impl.hidden_params > 0 || e.impl.hidden_results > 0) {
-      raise(ErrorCode::kProtocolViolation,
-            "start_compatible_pending on entry " + e.decl.name +
-                ": hidden params/results are not supported on the compat "
-                "path");
-    }
     const std::size_t idx = entry.index();
+    check_compat_path(idx, "start_compatible_pending");
     while (!e.attached.empty() && obj_->compat_gate_open_locked(idx)) {
-      const std::size_t slot_idx = e.attached.pop_front(e.slots);
+      const std::size_t slot_idx = e.attached.front();
+      obj_->accept_locked(idx, slot_idx);
       Object::Slot& s = e.slots[slot_idx];
-      s.state = Object::SlotState::kAccepted;
-      ++e.accepts;
-      obj_->update_pending_locked(e);
-      obj_->trace(e, s.call->id, slot_idx, CallPhase::kAccepted);
       ValueList full = std::move(s.call->params);
       s.call->params.clear();
       obj_->ma_mark_running_locked(idx, slot_idx);
@@ -347,28 +315,13 @@ std::size_t Manager::start_compatible_pending(EntryRef entry) {
 
 Awaited Manager::await(EntryRef entry) {
   assert_manager_thread("await");
-  Object::EntryCore& e = obj_->core_checked(entry, "await");
+  obj_->core_checked(entry, "await");
   Object::ActivityScope activity(*obj_, Object::kActAwaitWait);
   for (;;) {
     support::EventCount::Ticket ticket(obj_->mgr_wake_);
     {
       std::scoped_lock lock(obj_->mu_);
-      obj_->drain_intake_locked();
-      check_stop();
-      if (!e.ready.empty()) {
-        const std::size_t slot_idx = e.ready.pop_front(e.slots);
-        Object::Slot& s = e.slots[slot_idx];
-        s.state = Object::SlotState::kAwaited;
-        obj_->note_progress();
-        Awaited w;
-        w.entry = entry.index();
-        w.slot = slot_idx;
-        w.results = std::move(s.mgr_results);
-        w.failed = (s.body_error != nullptr);
-        w.abandoned = s.abandoned;
-        w.error = s.body_error;
-        return w;
-      }
+      if (auto w = try_await_locked(entry.index())) return std::move(*w);
     }
     ticket.wait();
   }
@@ -382,7 +335,7 @@ Awaited Manager::await(const Accepted& a) {
     {
       std::scoped_lock lock(obj_->mu_);
       Object::EntryCore& e = obj_->core(a.entry);
-      Object::Slot& s = e.slots[a.slot];
+      const Object::Slot& s = e.slots[a.slot];
       if (s.state != Object::SlotState::kRunning &&
           s.state != Object::SlotState::kReady) {
         raise(ErrorCode::kProtocolViolation,
@@ -391,17 +344,8 @@ Awaited Manager::await(const Accepted& a) {
       }
       check_stop();
       if (s.state == Object::SlotState::kReady) {
-        e.ready.remove(e.slots, a.slot);
-        s.state = Object::SlotState::kAwaited;
         obj_->note_progress();
-        Awaited w;
-        w.entry = a.entry;
-        w.slot = a.slot;
-        w.results = std::move(s.mgr_results);
-        w.failed = (s.body_error != nullptr);
-        w.abandoned = s.abandoned;
-        w.error = s.body_error;
-        return w;
+        return obj_->await_locked(a.entry, a.slot);
       }
     }
     ticket.wait();
@@ -410,23 +354,18 @@ Awaited Manager::await(const Accepted& a) {
 
 std::optional<Awaited> Manager::try_await(EntryRef entry) {
   assert_manager_thread("try_await");
-  Object::EntryCore& e = obj_->core_checked(entry, "try_await");
+  obj_->core_checked(entry, "try_await");
   std::scoped_lock lock(obj_->mu_);
+  return try_await_locked(entry.index());
+}
+
+std::optional<Awaited> Manager::try_await_locked(std::size_t entry) {
+  Object::EntryCore& e = obj_->core(entry);
   obj_->drain_intake_locked();
   check_stop();
   if (e.ready.empty()) return std::nullopt;
-  const std::size_t slot_idx = e.ready.pop_front(e.slots);
-  Object::Slot& s = e.slots[slot_idx];
-  s.state = Object::SlotState::kAwaited;
   obj_->note_progress();
-  Awaited w;
-  w.entry = entry.index();
-  w.slot = slot_idx;
-  w.results = std::move(s.mgr_results);
-  w.failed = (s.body_error != nullptr);
-  w.abandoned = s.abandoned;
-  w.error = s.body_error;
-  return w;
+  return obj_->await_locked(entry, e.ready.front());
 }
 
 void Manager::finish(const Awaited& w) {
@@ -528,39 +467,31 @@ void Manager::combine_finish(const Accepted& a, ValueList all_results) {
 
 void Manager::fail(const Accepted& a, const std::string& why) {
   assert_manager_thread("fail");
-  std::shared_ptr<CallState> caller;
-  {
-    std::scoped_lock lock(obj_->mu_);
-    Object::EntryCore& e = obj_->core(a.entry);
-    Object::Slot& s = e.slots[a.slot];
-    if (s.state != Object::SlotState::kAccepted) {
-      raise(ErrorCode::kProtocolViolation,
-            "fail on a call that is not in the Accepted state");
-    }
-    caller = s.call->state;
-    ++e.finishes;
-    obj_->trace(e, s.call->id, a.slot, CallPhase::kFailed);
-    obj_->release_slot_locked(a.entry, a.slot);
-    obj_->note_progress();
-  }
-  caller->fail(ErrorCode::kBodyFailed, why);
+  fail_slot(a.entry, a.slot, /*awaited=*/false, why);
 }
 
 void Manager::fail(const Awaited& w, const std::string& why) {
   assert_manager_thread("fail");
+  fail_slot(w.entry, w.slot, /*awaited=*/true, why);
+}
+
+void Manager::fail_slot(std::size_t entry, std::size_t slot, bool awaited,
+                        const std::string& why) {
   std::shared_ptr<CallState> caller;
   {
     std::scoped_lock lock(obj_->mu_);
-    Object::EntryCore& e = obj_->core(w.entry);
-    Object::Slot& s = e.slots[w.slot];
-    if (s.state != Object::SlotState::kAwaited) {
+    Object::EntryCore& e = obj_->core(entry);
+    Object::Slot& s = e.slots[slot];
+    if (s.state != (awaited ? Object::SlotState::kAwaited
+                            : Object::SlotState::kAccepted)) {
       raise(ErrorCode::kProtocolViolation,
-            "fail on a call that is not in the Awaited state");
+            std::string("fail on a call that is not in the ") +
+                (awaited ? "Awaited" : "Accepted") + " state");
     }
     caller = s.call->state;
     ++e.finishes;
-    obj_->trace(e, s.call->id, w.slot, CallPhase::kFailed);
-    obj_->release_slot_locked(w.entry, w.slot);
+    obj_->trace(e, s.call->id, slot, CallPhase::kFailed);
+    obj_->release_slot_locked(entry, slot);
     obj_->note_progress();
   }
   caller->fail(ErrorCode::kBodyFailed, why);

@@ -172,7 +172,21 @@ class Manager {
   /// and not once stop or a watchdog abort is pending), else on the pool.
   void start_body(const Accepted& a, std::optional<ValueList> iparams,
                   ValueList hidden_params, bool executing);
-  /// Throws kObjectStopped when the object is stopping (manager unwinds).
+  /// The kernel step of accept and try_accept (requires the kernel lock):
+  /// drains the intake, checks for stop, then accepts the oldest attached
+  /// call of `entry`, if any.
+  std::optional<Accepted> try_accept_locked(std::size_t entry);
+  /// The same step for await(entry) and try_await: awaits the oldest Ready
+  /// call of `entry`, if any.
+  std::optional<Awaited> try_await_locked(std::size_t entry);
+  /// Refuses the compat path (start_compatible*) for an entry without
+  /// compatibility annotations or with hidden params/results.
+  void check_compat_path(std::size_t entry, const char* op) const;
+  /// Both fail overloads: the call must be Accepted (or Awaited).
+  void fail_slot(std::size_t entry, std::size_t slot, bool awaited,
+                 const std::string& why);
+  /// Throws kObjectStopped when the object is stopping, or the watchdog's
+  /// kTimeout once it aborted this manager (the manager unwinds).
   void check_stop() const;
   void assert_manager_thread(const char* op) const;
 

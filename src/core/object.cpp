@@ -318,34 +318,7 @@ void Object::stop() {
   std::vector<std::shared_ptr<CallState>> to_fail;
   {
     std::scoped_lock lock(mu_);
-    for (auto& ep : entries_) {
-      EntryCore& e = *ep;
-      for (auto& rec : e.overflow) {
-        trace(e, rec.id, kNoSlot, CallPhase::kFailed);
-        to_fail.push_back(rec.state);
-      }
-      e.overflow.clear();
-      for (std::size_t i = 0; i < e.slots.size(); ++i) {
-        Slot& s = e.slots[i];
-        if (s.state != SlotState::kFree && s.call.has_value()) {
-          trace(e, s.call->id, i, CallPhase::kFailed);
-          to_fail.push_back(s.call->state);
-          s.call.reset();
-        }
-        s.state = SlotState::kFree;
-        s.multiactive = false;
-        s.deferred_params.clear();
-      }
-      e.attached.clear(e.slots);
-      e.ready.clear(e.slots);
-      e.ma_running = 0;
-      e.ma_deferred = 0;
-      update_pending_locked(e);
-    }
-    // Running multiactive bodies see state != kRunning in their completion
-    // handler and bail without touching these (now-reset) counters.
-    ma_queue_.clear();
-    ma_total_running_ = 0;
+    fail_unfinished_locked(Teardown::kStop, to_fail);
   }
   for (auto& state : to_fail) {
     state->fail(ErrorCode::kObjectStopped, "object " + name_ + " stopped");
@@ -606,17 +579,10 @@ void Object::attach_locked(std::size_t entry_idx, CallRecord rec) {
   // are more requests than can be accommodated in the procedure array, the
   // remaining requests continue to wait").
   for (std::size_t i = 0; i < e.slots.size(); ++i) {
-    if (e.slots[i].state == SlotState::kFree) {
+    if (e.slots[i].state == SlotState::kFree) {  // clean: see Slot::reset
       e.slots[i].state = SlotState::kAttached;
       trace(e, rec.id, i, CallPhase::kAttached);
       e.slots[i].call = std::move(rec);
-      e.slots[i].mgr_results.clear();
-      e.slots[i].rest_results.clear();
-      e.slots[i].body_error = nullptr;
-      e.slots[i].abandoned = false;
-      e.slots[i].discard_on_ready = false;
-      e.slots[i].multiactive = false;
-      e.slots[i].deferred_params.clear();
       e.attached.push_back(e.slots, i);
       update_pending_locked(e);
       return;
@@ -629,15 +595,7 @@ void Object::attach_locked(std::size_t entry_idx, CallRecord rec) {
 void Object::release_slot_locked(std::size_t entry_idx, std::size_t slot_idx) {
   EntryCore& e = core(entry_idx);
   Slot& s = e.slots[slot_idx];
-  s.state = SlotState::kFree;
-  s.call.reset();
-  s.mgr_results.clear();
-  s.rest_results.clear();
-  s.body_error = nullptr;
-  s.abandoned = false;
-  s.discard_on_ready = false;
-  s.multiactive = false;
-  s.deferred_params.clear();
+  s.reset();
   if (!e.overflow.empty()) {
     CallRecord next = std::move(e.overflow.front());
     e.overflow.pop_front();
@@ -647,9 +605,45 @@ void Object::release_slot_locked(std::size_t entry_idx, std::size_t slot_idx) {
     e.attached.push_back(e.slots, slot_idx);
   }
   update_pending_locked(e);
-  // No wakeup: release_slot_locked only runs from manager primitives, and
-  // the manager is the only mgr_wake_ waiter — it cannot be asleep while
-  // executing its own finish.
+  // No wakeup here: from a manager primitive the manager cannot be asleep
+  // (it is the only mgr_wake_ waiter); a body's epilogue and fail_call wake
+  // it themselves, and the teardown table runs with no manager alive.
+}
+
+void Object::accept_locked(std::size_t entry_idx, std::size_t slot_idx) {
+  EntryCore& e = core(entry_idx);
+  Slot& s = e.slots[slot_idx];
+  e.attached.remove(e.slots, slot_idx);
+  s.state = SlotState::kAccepted;
+  ++e.accepts;
+  update_pending_locked(e);
+  trace(e, s.call->id, slot_idx, CallPhase::kAccepted);
+}
+
+Accepted Object::accepted(std::size_t entry_idx, std::size_t slot_idx) {
+  EntryCore& e = core(entry_idx);
+  const ValueList& params = e.slots[slot_idx].call->params;
+  Accepted a;
+  a.entry = entry_idx;
+  a.slot = slot_idx;
+  a.params.assign(params.begin(),
+                  params.begin() + static_cast<std::ptrdiff_t>(e.icept_params));
+  return a;
+}
+
+Awaited Object::await_locked(std::size_t entry_idx, std::size_t slot_idx) {
+  EntryCore& e = core(entry_idx);
+  Slot& s = e.slots[slot_idx];
+  e.ready.remove(e.slots, slot_idx);
+  s.state = SlotState::kAwaited;
+  Awaited w;
+  w.entry = entry_idx;
+  w.slot = slot_idx;
+  w.results = std::move(s.mgr_results);
+  w.failed = (s.body_error != nullptr);
+  w.abandoned = s.abandoned;
+  w.error = s.body_error;
+  return w;
 }
 
 namespace {
@@ -1036,37 +1030,7 @@ void Object::take_down(std::exception_ptr cause, const std::string& why) {
     // pushed before this store is flushed below; one that pushes after it
     // sees down_ and flushes (or fails) itself.
     down_.store(true, std::memory_order_seq_cst);
-    for (auto& ep : entries_) {
-      EntryCore& e = *ep;
-      for (auto& rec : e.overflow) {
-        trace(e, rec.id, kNoSlot, CallPhase::kFailed);
-        to_fail.push_back(rec.state);
-      }
-      e.overflow.clear();
-      for (std::size_t i = 0; i < e.slots.size(); ++i) {
-        Slot& s = e.slots[i];
-        if (s.state == SlotState::kFree || !s.call.has_value()) continue;
-        trace(e, s.call->id, i, CallPhase::kFailed);
-        to_fail.push_back(s.call->state);
-        if (s.state == SlotState::kRunning) {
-          // Body still executing: keep the record (the completion handler
-          // reads it) and let discard_on_ready reclaim the slot. Multiactive
-          // handlers also retire their ma_running occupancy there.
-          s.discard_on_ready = true;
-        } else {
-          s.call.reset();
-          s.state = SlotState::kFree;
-          s.abandoned = false;
-          s.multiactive = false;
-          s.deferred_params.clear();
-        }
-      }
-      e.attached.clear(e.slots);
-      e.ready.clear(e.slots);
-      e.ma_deferred = 0;  // deferred slots were freed above
-      update_pending_locked(e);
-    }
-    ma_queue_.clear();
+    fail_unfinished_locked(Teardown::kQuarantine, to_fail);
   }
   for (auto& state : to_fail) {
     state->fail(ErrorCode::kObjectDown, why);
@@ -1076,149 +1040,94 @@ void Object::take_down(std::exception_ptr cause, const std::string& why) {
 }
 
 void Object::reconcile_for_restart() {
-  const bool replay = opts_.supervision.replay_pending;
   std::vector<std::shared_ptr<CallState>> to_fail;
-  const std::string why =
-      "object " + name_ + ": call dropped during manager restart";
   {
     std::scoped_lock lock(mu_);
-    for (std::size_t ei = 0; ei < entries_.size(); ++ei) {
-      EntryCore& e = core(ei);
-      if (!e.intercepted) continue;
-      if (!replay) {
-        for (auto& rec : e.overflow) {
-          trace(e, rec.id, kNoSlot, CallPhase::kFailed);
-          to_fail.push_back(rec.state);
-        }
-        e.overflow.clear();
-      }
-      for (std::size_t i = 0; i < e.slots.size(); ++i) {
-        Slot& s = e.slots[i];
-        switch (s.state) {
-          case SlotState::kFree:
-            break;
-          case SlotState::kAttached:
-            // Never reached the dead manager; waits for the next one
-            // (unless the policy says otherwise).
-            if (!replay) {
-              e.attached.remove(e.slots, i);
-              trace(e, s.call->id, i, CallPhase::kFailed);
-              to_fail.push_back(s.call->state);
-              s.call.reset();
-              s.state = SlotState::kFree;
-              s.abandoned = false;
-            }
-            break;
-          case SlotState::kAccepted:
-            if (replay && !s.abandoned) {
-              // Accepted but never started: no side effects yet, so the
-              // call is safe to re-queue for the new incarnation. It joins
-              // the tail of the accept queue (arrival order within the
-              // queue is preserved; its place relative to already-attached
-              // peers is not).
-              s.state = SlotState::kAttached;
-              s.mgr_results.clear();
-              s.rest_results.clear();
-              s.body_error = nullptr;
-              e.attached.push_back(e.slots, i);
-            } else {
-              trace(e, s.call->id, i, CallPhase::kFailed);
-              to_fail.push_back(s.call->state);
-              s.call.reset();
-              s.state = SlotState::kFree;
-              s.abandoned = false;
-            }
-            break;
-          case SlotState::kDeferred:
-            // Parked by the compat scheduler: the body never ran, so under
-            // replay the call is as safe to re-queue as an accepted one —
-            // restore the moved-out params and put it back on the attach
-            // queue for the next incarnation.
-            ma_unqueue_locked(ei, i);
-            if (replay && !s.abandoned) {
-              s.state = SlotState::kAttached;
-              s.call->params = std::move(s.deferred_params);
-              s.deferred_params.clear();
-              s.multiactive = false;
-              s.mgr_results.clear();
-              s.rest_results.clear();
-              s.body_error = nullptr;
-              e.attached.push_back(e.slots, i);
-            } else {
-              trace(e, s.call->id, i, CallPhase::kFailed);
-              to_fail.push_back(s.call->state);
-              s.call.reset();
-              s.state = SlotState::kFree;
-              s.abandoned = false;
-              s.multiactive = false;
-              s.deferred_params.clear();
-            }
-            break;
-          case SlotState::kRunning:
-            // A multiactive body completes its caller in its own epilogue,
-            // with no await/finish by any manager, so the crash took
-            // nothing it needs: leave it running. This covers a deferred
-            // call the kernel launched after the crash, when its group
-            // drained before this reconcile.
-            if (s.multiactive) break;
-            // Side effects may have happened: a started body cannot be
-            // replayed. Fail the caller; the completion handler reclaims
-            // the slot.
-            if (s.call) {
-              trace(e, s.call->id, i, CallPhase::kFailed);
-              to_fail.push_back(s.call->state);
-            }
-            s.discard_on_ready = true;
-            break;
-          case SlotState::kReady:
-            e.ready.remove(e.slots, i);
-            if (s.call) {
-              trace(e, s.call->id, i, CallPhase::kFailed);
-              to_fail.push_back(s.call->state);
-            }
-            s.call.reset();
-            s.state = SlotState::kFree;
-            s.abandoned = false;
-            break;
-          case SlotState::kAwaited:
-            if (s.call) {
-              trace(e, s.call->id, i, CallPhase::kFailed);
-              to_fail.push_back(s.call->state);
-            }
-            s.call.reset();
-            s.state = SlotState::kFree;
-            s.abandoned = false;
-            break;
-        }
-      }
-      // Re-attach queued overflow onto any slots the reconcile freed.
-      while (!e.overflow.empty()) {
-        bool attached_one = false;
-        for (std::size_t i = 0; i < e.slots.size() && !e.overflow.empty();
-             ++i) {
-          if (e.slots[i].state == SlotState::kFree) {
-            CallRecord next = std::move(e.overflow.front());
-            e.overflow.pop_front();
-            Slot& s = e.slots[i];
-            s.state = SlotState::kAttached;
-            trace(e, next.id, i, CallPhase::kAttached);
-            s.call = std::move(next);
-            s.mgr_results.clear();
-            s.rest_results.clear();
-            s.body_error = nullptr;
-            s.abandoned = false;
-            s.discard_on_ready = false;
-            e.attached.push_back(e.slots, i);
-            attached_one = true;
-          }
-        }
-        if (!attached_one) break;
-      }
-      update_pending_locked(e);
-    }
+    fail_unfinished_locked(opts_.supervision.replay_pending
+                               ? Teardown::kRestartReplay
+                               : Teardown::kRestart,
+                           to_fail);
   }
   for (auto& state : to_fail) {
-    state->fail(ErrorCode::kObjectDown, why);
+    state->fail(ErrorCode::kObjectDown,
+                "object " + name_ + ": call dropped during manager restart");
+  }
+}
+
+void Object::fail_unfinished_locked(
+    Teardown cause, std::vector<std::shared_ptr<CallState>>& to_fail) {
+  const bool replay = cause == Teardown::kRestartReplay;
+  for (std::size_t ei = 0; ei < entries_.size(); ++ei) {
+    EntryCore& e = core(ei);
+    // Calls still waiting for a slot never reached a manager: a replay
+    // keeps them and re-attaches them below, after the slot table, so they
+    // queue behind the calls it re-queues (which arrived earlier).
+    std::deque<CallRecord> waiting;
+    waiting.swap(e.overflow);
+    if (!replay) {
+      for (const CallRecord& rec : waiting) {
+        trace(e, rec.id, kNoSlot, CallPhase::kFailed);
+        to_fail.push_back(rec.state);
+      }
+      waiting.clear();
+    }
+    for (std::size_t i = 0; i < e.slots.size(); ++i) {
+      Slot& s = e.slots[i];
+      switch (s.state) {
+        case SlotState::kFree:
+          continue;
+        case SlotState::kAttached:
+          if (replay) continue;  // waits for the next incarnation
+          e.attached.remove(e.slots, i);
+          break;
+        case SlotState::kDeferred:
+          ma_unqueue_locked(ei, i);
+          if (replay && !s.abandoned) {
+            s.call->params = std::move(s.deferred_params);
+            s.deferred_params.clear();
+            s.multiactive = false;
+          }
+          [[fallthrough]];
+        case SlotState::kAccepted:
+          if (replay && !s.abandoned) {
+            // The body never ran, so there are no side effects: re-queue it
+            // at the tail of the accept queue for the next incarnation.
+            s.state = SlotState::kAttached;
+            e.attached.push_back(e.slots, i);
+            continue;
+          }
+          break;
+        case SlotState::kRunning:
+          if (cause == Teardown::kStop) {
+            // stop frees the slot under the body, whose epilogue then bails
+            // without retiring its multiactive occupancy: retire it here.
+            if (s.multiactive) {
+              --e.ma_running;
+              --ma_total_running_;
+            }
+            break;
+          }
+          // A multiactive body completes its caller in its own epilogue,
+          // with no manager turn, so a restart leaves it running.
+          if (s.multiactive && cause != Teardown::kQuarantine) continue;
+          // No manager will await this body, and a started body cannot be
+          // replayed: fail its caller now; its completion frees the slot.
+          trace(e, s.call->id, i, CallPhase::kFailed);
+          to_fail.push_back(s.call->state);
+          s.discard_on_ready = true;
+          continue;
+        case SlotState::kReady:
+          e.ready.remove(e.slots, i);
+          break;
+        case SlotState::kAwaited:
+          break;
+      }
+      trace(e, s.call->id, i, CallPhase::kFailed);
+      to_fail.push_back(s.call->state);
+      release_slot_locked(ei, i);
+    }
+    for (CallRecord& rec : waiting) attach_locked(ei, std::move(rec));
+    update_pending_locked(e);
   }
 }
 

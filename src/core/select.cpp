@@ -443,11 +443,7 @@ Select::Fired Select::select_impl(Manager& m) {
     bool need_observers = false;
     {
       std::unique_lock lock(obj->mu_);
-      if (obj->stop_source_.stop_requested()) {
-        raise(ErrorCode::kObjectStopped,
-              "object " + obj->name() + " stopping");
-      }
-      obj->check_manager_abort();
+      m.check_stop();
       if (publish_guards) {
         // Snapshot the guard set BY VALUE into the object so the watchdog's
         // stall report can cite it after this Select is long gone.
@@ -492,36 +488,18 @@ Select::Fired Select::select_impl(Manager& m) {
         fired.guard_idx = top.guard;
         switch (g.kind) {
           case Kind::kAccept: {
-            Object::EntryCore& e = obj->core(g.entry.index());
-            Object::Slot& s = e.slots[top.slot];
-            e.attached.remove(e.slots, top.slot);
-            s.state = Object::SlotState::kAccepted;
-            ++e.accepts;
-            obj->update_pending_locked(e);
-            obj->trace(e, s.call->id, top.slot, CallPhase::kAccepted);
+            const std::size_t entry = g.entry.index();
+            obj->accept_locked(entry, top.slot);
             // The only journal event since this guard's sync is our own
             // removal; absorb it so the next pass replays nothing.
-            state_[top.guard].src_gen = e.attached.log_gen;
-            fired.accepted.entry = g.entry.index();
-            fired.accepted.slot = top.slot;
-            fired.accepted.params.assign(
-                s.call->params.begin(),
-                s.call->params.begin() +
-                    static_cast<std::ptrdiff_t>(e.icept_params));
+            state_[top.guard].src_gen = obj->core(entry).attached.log_gen;
+            fired.accepted = obj->accepted(entry, top.slot);
             return fired;
           }
           case Kind::kAwait: {
-            Object::EntryCore& e = obj->core(g.entry.index());
-            Object::Slot& s = e.slots[top.slot];
-            e.ready.remove(e.slots, top.slot);
-            s.state = Object::SlotState::kAwaited;
-            state_[top.guard].src_gen = e.ready.log_gen;
-            fired.awaited.entry = g.entry.index();
-            fired.awaited.slot = top.slot;
-            fired.awaited.results = std::move(s.mgr_results);
-            fired.awaited.failed = (s.body_error != nullptr);
-            fired.awaited.abandoned = s.abandoned;
-            fired.awaited.error = s.body_error;
+            const std::size_t entry = g.entry.index();
+            fired.awaited = obj->await_locked(entry, top.slot);
+            state_[top.guard].src_gen = obj->core(entry).ready.log_gen;
             return fired;
           }
           case Kind::kReceive: {
@@ -585,11 +563,7 @@ Select::Fired Select::select_impl_naive(Manager& m) {
     bool need_observers = false;
     {
       std::unique_lock lock(obj->mu_);
-      if (obj->stop_source_.stop_requested()) {
-        raise(ErrorCode::kObjectStopped,
-              "object " + obj->name() + " stopping");
-      }
-      obj->check_manager_abort();
+      m.check_stop();
       obj->drain_intake_locked();
 
       scratch_candidates_.clear();
@@ -679,35 +653,13 @@ Select::Fired Select::select_impl_naive(Manager& m) {
         Fired fired;
         fired.guard_idx = chosen.guard_idx;
         switch (g.kind) {
-          case Kind::kAccept: {
-            Object::EntryCore& e = obj->core(g.entry.index());
-            Object::Slot& s = e.slots[chosen.slot];
-            e.attached.remove(e.slots, chosen.slot);
-            s.state = Object::SlotState::kAccepted;
-            ++e.accepts;
-            obj->update_pending_locked(e);
-            obj->trace(e, s.call->id, chosen.slot, CallPhase::kAccepted);
-            fired.accepted.entry = g.entry.index();
-            fired.accepted.slot = chosen.slot;
-            fired.accepted.params.assign(
-                s.call->params.begin(),
-                s.call->params.begin() +
-                    static_cast<std::ptrdiff_t>(e.icept_params));
+          case Kind::kAccept:
+            obj->accept_locked(g.entry.index(), chosen.slot);
+            fired.accepted = obj->accepted(g.entry.index(), chosen.slot);
             return fired;
-          }
-          case Kind::kAwait: {
-            Object::EntryCore& e = obj->core(g.entry.index());
-            Object::Slot& s = e.slots[chosen.slot];
-            e.ready.remove(e.slots, chosen.slot);
-            s.state = Object::SlotState::kAwaited;
-            fired.awaited.entry = g.entry.index();
-            fired.awaited.slot = chosen.slot;
-            fired.awaited.results = std::move(s.mgr_results);
-            fired.awaited.failed = (s.body_error != nullptr);
-            fired.awaited.abandoned = s.abandoned;
-            fired.awaited.error = s.body_error;
+          case Kind::kAwait:
+            fired.awaited = obj->await_locked(g.entry.index(), chosen.slot);
             return fired;
-          }
           case Kind::kReceive: {
             auto msg = g.channel->take_front_if([&](const ValueList& front) {
               return !g.when_v || g.when_v(front);
