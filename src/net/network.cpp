@@ -135,53 +135,46 @@ bool Network::is_partitioned(NodeId a, NodeId b) const {
   return partitioned_locked(a, b);
 }
 
-void Network::add_peer(NodeId id, const std::string& name,
-                       const std::string& address) {
+bool Network::admit_peer(NodeId id, const std::string& name,
+                         const std::string& address) {
   (void)address;  // in-process: there is no wire endpoint to dial
-  {
-    std::scoped_lock lock(mu_);
-    if (id < node_names_.size()) {
-      // Revival of a departed id (a restarted process re-joining under its
-      // old identity). A live id is a no-op, matching the socket backend's
-      // idempotent add_peer.
-      departed_.erase(id);
-      node_names_[id] = name;
-    } else if (id == node_names_.size()) {
-      node_names_.push_back(name);
-      handlers_.emplace_back();
-    } else {
-      raise(ErrorCode::kNetwork,
-            "sim node ids are dense; cannot add sparse id " +
-                std::to_string(id));
-    }
+  std::scoped_lock lock(mu_);
+  if (id < node_names_.size()) {
+    // Revival of a departed id (a restarted process re-joining under its
+    // old identity). A live id is a no-op, as on the socket backend.
+    if (!departed_.erase(id)) return false;
+    node_names_[id] = name;
+  } else if (id == node_names_.size()) {
+    node_names_.push_back(name);
+    handlers_.emplace_back();
+  } else {
+    raise(ErrorCode::kNetwork,
+          "sim node ids are dense; cannot add sparse id " +
+              std::to_string(id));
   }
-  notify_membership(id, true);
+  return true;
 }
 
-bool Network::remove_peer(NodeId id) {
-  {
-    std::scoped_lock lock(mu_);
-    if (id >= node_names_.size() || departed_.contains(id)) return false;
-    departed_.insert(id);
-    handlers_[id] = nullptr;
-    // Purge in-flight frames touching the departed node: rebuild the
-    // schedule without them, counting each as lost (the socket backend's
-    // queue-drop on eviction).
-    decltype(queue_) kept;
-    while (!queue_.empty()) {
-      Scheduled s = std::move(const_cast<Scheduled&>(queue_.top()));
-      queue_.pop();
-      if (s.frame.src == id || s.frame.dst == id) {
-        ++stats_.frames_lost;
-        leave_link_locked(s.frame.src, s.frame.dst);
-      } else {
-        kept.push(std::move(s));
-      }
+bool Network::evict_peer(NodeId id) {
+  std::scoped_lock lock(mu_);
+  if (id >= node_names_.size() || departed_.contains(id)) return false;
+  departed_.insert(id);
+  handlers_[id] = nullptr;
+  // Purge in-flight frames touching the departed node: rebuild the
+  // schedule without them, counting each as lost (the socket backend's
+  // queue-drop on eviction).
+  decltype(queue_) kept;
+  while (!queue_.empty()) {
+    Scheduled s = std::move(const_cast<Scheduled&>(queue_.top()));
+    queue_.pop();
+    if (s.frame.src == id || s.frame.dst == id) {
+      ++stats_.frames_lost;
+      leave_link_locked(s.frame.src, s.frame.dst);
+    } else {
+      kept.push(std::move(s));
     }
-    queue_.swap(kept);
   }
-  directory().remove_node(id);
-  notify_membership(id, false);
+  queue_.swap(kept);
   return true;
 }
 

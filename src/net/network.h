@@ -136,20 +136,6 @@ class Network final : public Transport {
   /// rather than a plain timeout.
   bool is_partitioned(NodeId a, NodeId b) const override;
 
-  // ---- dynamic membership (parity with SocketTransport) ----
-
-  /// Revives a departed node, or appends a brand-new one when `id` equals
-  /// the next dense id (`address` is meaningless in-process and ignored).
-  /// Raises kNetwork for a sparse id — the sim's ids stay dense.
-  void add_peer(NodeId id, const std::string& name,
-                const std::string& address) override;
-
-  /// Marks `id` departed: frames to or from it — queued, in flight, or
-  /// posted later — are counted lost, is_partitioned() reports it cut, and
-  /// its directory entries are purged, exactly what a SocketTransport
-  /// eviction looks like from the RPC layer.
-  bool remove_peer(NodeId id) override;
-
   TransportStats transport_stats() const override;
   /// Injected-fault accounting (sim-only; see SimFaultStats).
   SimFaultStats fault_stats() const;
@@ -166,6 +152,21 @@ class Network final : public Transport {
   /// dropped at delivery). After a true answer, the delivery thread fires
   /// the idle handler when the last one leaves.
   bool link_busy(NodeId src, NodeId dst) override;
+
+ protected:
+  // ---- dynamic membership (parity with SocketTransport) ----
+
+  /// Revives a departed node, or appends a brand-new one when `id` equals
+  /// the next dense id (`address` is meaningless in-process and ignored).
+  /// A live id is left alone. Raises kNetwork for a sparse id — the sim's
+  /// ids stay dense.
+  bool admit_peer(NodeId id, const std::string& name,
+                  const std::string& address) override;
+
+  /// Marks `id` departed: frames to or from it — queued, in flight, or
+  /// posted later — are counted lost and is_partitioned() reports it cut,
+  /// exactly what a SocketTransport eviction looks like from the RPC layer.
+  bool evict_peer(NodeId id) override;
 
  private:
   struct Scheduled {

@@ -2,23 +2,22 @@
 
 #include <vector>
 
-#include "core/error.h"
+#include "net/directory.h"
 
 namespace alps::net {
 
 void Transport::add_peer(NodeId id, const std::string& name,
                          const std::string& address) {
-  (void)id;
-  (void)address;
-  raise(ErrorCode::kNetwork,
-        "this transport does not support dynamic membership (add_peer " +
-            name + ")");
+  if (admit_peer(id, name, address)) notify_membership(id, true);
 }
 
 bool Transport::remove_peer(NodeId id) {
-  (void)id;
-  raise(ErrorCode::kNetwork,
-        "this transport does not support dynamic membership (remove_peer)");
+  if (!evict_peer(id)) return false;
+  // A departed node's named objects fail typed (kObjectNotFound) instead of
+  // timing out against a dead address.
+  directory().remove_node(id);
+  notify_membership(id, false);
+  return true;
 }
 
 std::uint64_t Transport::add_membership_listener(MembershipListener listener) {

@@ -162,36 +162,48 @@ class Transport {
   // socket backend spins PeerLinks and reader threads up and down without
   // quiescing; the sim marks nodes departed (their frames are lost, exactly
   // as a cut). Removing a peer also purges its directory entries, so a
-  // departed node's named objects fail typed instead of timing out.
+  // departed node's named objects fail typed instead of timing out. The
+  // backends only change their peer set (admit_peer / evict_peer); the
+  // directory purge and the listener calls are written once, here.
 
   /// Admits `id` to the peer set. `address` is backend-specific ("unix:<path>"
   /// or "host:port" for sockets; ignored by the sim, which revives or appends
-  /// the node). Raises kNetwork if the backend cannot honor the request.
-  virtual void add_peer(NodeId id, const std::string& name,
-                        const std::string& address);
+  /// the node). Admitting a live peer is a no-op. Raises kNetwork if the
+  /// backend cannot honor the request.
+  void add_peer(NodeId id, const std::string& name,
+                const std::string& address);
 
   /// Evicts `id` from the peer set: frames to/from it are dropped or lost
   /// from now on, its queued frames are counted lost, and its directory
   /// entries are removed. Returns false if the peer was not present.
-  virtual bool remove_peer(NodeId id);
+  bool remove_peer(NodeId id);
 
   /// Membership-change hook: invoked (outside transport locks) after every
-  /// add_peer / remove_peer, with `added` telling which. Nodes use it to
-  /// flush departed-peer batch buffers and drop stale routes. Returns a
-  /// token for remove_membership_listener.
+  /// add_peer / remove_peer that changed the peer set, with `added` telling
+  /// which. Nodes use it to flush departed-peer batch buffers and drop stale
+  /// routes. Returns a token for remove_membership_listener.
   using MembershipListener = std::function<void(NodeId peer, bool added)>;
   std::uint64_t add_membership_listener(MembershipListener listener);
   void remove_membership_listener(std::uint64_t token);
 
  protected:
-  /// Backends call this after a membership change, holding no locks.
-  void notify_membership(NodeId peer, bool added);
+  /// Backend half of add_peer: adds `id` to the peer set and returns whether
+  /// the set changed (false for a live peer or the local node).
+  virtual bool admit_peer(NodeId id, const std::string& name,
+                          const std::string& address) = 0;
+
+  /// Backend half of remove_peer: drops `id` and its traffic; returns
+  /// whether the peer was present.
+  virtual bool evict_peer(NodeId id) = 0;
 
   /// Backends call this after link src → dst turned from busy to idle,
   /// holding no locks.
   void notify_idle(NodeId src, NodeId dst);
 
  private:
+  /// Calls every membership listener, holding no locks.
+  void notify_membership(NodeId peer, bool added);
+
   mutable std::mutex listeners_mu_;
   std::unordered_map<std::uint64_t, MembershipListener> listeners_;
   std::uint64_t next_listener_token_ = 1;

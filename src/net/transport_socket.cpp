@@ -136,12 +136,7 @@ SocketTransport::SocketTransport(SocketTransportOptions options)
   // started lazily on first traffic (connect-on-demand). add_peer /
   // remove_peer change this set on the live transport.
   for (const auto& peer : options_.peers) {
-    if (peer.id == options_.local_node) continue;  // self entry tolerated
-    auto link = std::make_shared<PeerLink>();
-    link->id = peer.id;
-    link->address = peer.address;
-    peer_names_[peer.id] = peer.name;
-    links_.emplace(peer.id, std::move(link));
+    add_link(peer.id, peer.name, peer.address);
   }
 
   // Listener socket. Unix paths are unlinked first so a crashed predecessor
@@ -265,30 +260,25 @@ std::shared_ptr<SocketTransport::PeerLink> SocketTransport::find_link(
   return it == links_.end() ? nullptr : it->second;
 }
 
-void SocketTransport::add_peer(const SocketPeer& peer) {
-  if (peer.id == options_.local_node) return;
-  {
-    std::scoped_lock lock(links_mu_);
-    if (links_.contains(peer.id)) return;  // idempotent per id
-    auto link = std::make_shared<PeerLink>();
-    link->id = peer.id;
-    link->address = peer.address;
-    peer_names_[peer.id] = peer.name;
-    links_.emplace(peer.id, std::move(link));
-  }
-  notify_membership(peer.id, true);
+bool SocketTransport::add_link(NodeId id, const std::string& name,
+                               const SocketAddress& address) {
+  if (id == options_.local_node) return false;  // self entry tolerated
+  std::scoped_lock lock(links_mu_);
+  if (links_.contains(id)) return false;  // idempotent per id
+  auto link = std::make_shared<PeerLink>();
+  link->id = id;
+  link->address = address;
+  peer_names_[id] = name;
+  links_.emplace(id, std::move(link));
+  return true;
 }
 
-void SocketTransport::add_peer(NodeId id, const std::string& name,
-                               const std::string& address) {
-  SocketPeer peer;
-  peer.id = id;
-  peer.name = name;
-  peer.address = SocketAddress::parse(address);
-  add_peer(peer);
+bool SocketTransport::admit_peer(NodeId id, const std::string& name,
+                                 const std::string& address) {
+  return add_link(id, name, SocketAddress::parse(address));
 }
 
-bool SocketTransport::remove_peer(NodeId id) {
+bool SocketTransport::evict_peer(NodeId id) {
   std::shared_ptr<PeerLink> link;
   {
     std::scoped_lock lock(links_mu_);
@@ -333,10 +323,6 @@ bool SocketTransport::remove_peer(NodeId id) {
     }
   }
   for (auto& conn : to_close) ::shutdown(conn->fd, SHUT_RDWR);
-  // A departed node's named objects fail typed (kObjectNotFound) instead of
-  // timing out against a dead address.
-  directory_.remove_node(id);
-  notify_membership(id, false);
   return true;
 }
 

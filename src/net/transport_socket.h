@@ -188,15 +188,6 @@ class SocketTransport final : public Transport {
   void sever(NodeId peer);
   void restore(NodeId peer);
 
-  /// Dynamic membership (DESIGN.md §4.11): admit / evict a peer on the live
-  /// transport. add_peer is idempotent per id; remove_peer joins the peer's
-  /// sender, drops its queue as lost, tears down its inbound connections and
-  /// purges its directory entries.
-  void add_peer(const SocketPeer& peer);
-  void add_peer(NodeId id, const std::string& name,
-                const std::string& address) override;
-  bool remove_peer(NodeId id) override;
-
   /// Closes the outbound connection to `peer` (it reconnects on demand on
   /// the next post). Unhost/teardown hook and a reconnect test handle.
   void disconnect(NodeId peer);
@@ -204,6 +195,15 @@ class SocketTransport final : public Transport {
   /// The port the listener actually bound (TCP with port 0); the configured
   /// port otherwise.
   std::uint16_t bound_port() const;
+
+ protected:
+  /// Dynamic membership (DESIGN.md §4.11), behind Transport::add_peer /
+  /// remove_peer: admit_peer adds a PeerLink (idempotent per id; `address`
+  /// is "unix:<path>" or "host:port"); evict_peer joins the peer's sender,
+  /// drops its queue as lost and tears down its inbound connections.
+  bool admit_peer(NodeId id, const std::string& name,
+                  const std::string& address) override;
+  bool evict_peer(NodeId id) override;
 
  private:
   /// Outbound link to one peer: lazily-started sender thread, its queue,
@@ -314,6 +314,11 @@ class SocketTransport final : public Transport {
   /// Snapshot lookup; the returned shared_ptr keeps the link alive across a
   /// racing remove_peer.
   std::shared_ptr<PeerLink> find_link(NodeId id) const;
+  /// Adds a link to `id` unless it is the local node or already present;
+  /// returns whether it did. The constructor's peers and admit_peer both
+  /// come through here.
+  bool add_link(NodeId id, const std::string& name,
+                const SocketAddress& address);
 
   SocketTransportOptions options_;
   FrameBuilder hello_;  ///< our encoded HELLO, immutable

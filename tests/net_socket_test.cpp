@@ -1,7 +1,7 @@
 // SocketTransport tests: real OS sockets (Unix-domain and TCP loopback)
 // inside one test process. Several transports — one per "node", each with
 // its own listener and directory replica — exercise the same code paths a
-// multi-process deployment uses (examples/distributed_dictionary.cpp and
+// multi-process deployment uses (tests/cluster_harness.cpp and
 // the net_multiprocess_smoke ctest cover the actual process boundary).
 #include <gtest/gtest.h>
 
@@ -530,6 +530,9 @@ TEST(SocketTransport, AddPeerAdmitsTrafficMidRun) {
   ta.add_peer(2, "b", "unix:" + paths.node(2));
   EXPECT_EQ(ta.node_name(2), "b");
   EXPECT_EQ(membership_adds.load(), 1);
+  ta.add_peer(2, "b", "unix:" + paths.node(2));  // already live
+  EXPECT_EQ(membership_adds.load(), 1)
+      << "re-adding a live peer fires no listener";
   while (!first.wait_for(50ms)) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline);
     tb.post(2, 1, FrameBuilder::from_bytes({8}));

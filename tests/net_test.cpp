@@ -175,7 +175,10 @@ TEST(Network, RemovePeerLosesTrafficAndAddPeerRevives) {
 
   EXPECT_THROW(net.add_peer(77, "sparse", ""), Error)
       << "sim node ids stay dense";
-  ASSERT_EQ(changes.size(), 2u);
+  net.add_peer(a, "a", "");  // already live: the peer set does not change
+  net.add_peer(b, "b", "");
+  EXPECT_FALSE(net.is_partitioned(a, b));
+  ASSERT_EQ(changes.size(), 2u) << "re-adding a live peer fires no listener";
   EXPECT_EQ(changes[0], (std::pair<NodeId, bool>{b, false}));
   EXPECT_EQ(changes[1], (std::pair<NodeId, bool>{b, true}));
   net.remove_membership_listener(token);
