@@ -1073,6 +1073,10 @@ void Object::fail_unfinished_locked(
     }
     for (std::size_t i = 0; i < e.slots.size(); ++i) {
       Slot& s = e.slots[i];
+      // Quarantine, a restart or fail_call already traced and failed this
+      // call: its slot is freed (or its occupancy retired) as any other,
+      // but the caller gets no second terminal event.
+      const bool already_failed = s.abandoned || s.discard_on_ready;
       switch (s.state) {
         case SlotState::kFree:
           continue;
@@ -1112,8 +1116,10 @@ void Object::fail_unfinished_locked(
           if (s.multiactive && cause != Teardown::kQuarantine) continue;
           // No manager will await this body, and a started body cannot be
           // replayed: fail its caller now; its completion frees the slot.
-          trace(e, s.call->id, i, CallPhase::kFailed);
-          to_fail.push_back(s.call->state);
+          if (!already_failed) {
+            trace(e, s.call->id, i, CallPhase::kFailed);
+            to_fail.push_back(s.call->state);
+          }
           s.discard_on_ready = true;
           continue;
         case SlotState::kReady:
@@ -1122,8 +1128,10 @@ void Object::fail_unfinished_locked(
         case SlotState::kAwaited:
           break;
       }
-      trace(e, s.call->id, i, CallPhase::kFailed);
-      to_fail.push_back(s.call->state);
+      if (!already_failed) {
+        trace(e, s.call->id, i, CallPhase::kFailed);
+        to_fail.push_back(s.call->state);
+      }
       release_slot_locked(ei, i);
     }
     for (CallRecord& rec : waiting) attach_locked(ei, std::move(rec));

@@ -848,7 +848,9 @@ INSTANTIATE_TEST_SUITE_P(
 // holds one Target call in its state with latches on the manager and the
 // body, applies the event, then checks the caller's single outcome, the
 // object's supervision counters, the trace reconciliation and whether the
-// object still serves calls.
+// object still serves calls. The "already failed" rows fail the held call
+// first (quarantine, or a cancel that abandons its slot) and then apply a
+// second event, which must not fail or trace the call again.
 // ---------------------------------------------------------------------------
 
 enum class HeldIn : std::uint8_t {
@@ -867,7 +869,36 @@ enum class Teardown : std::uint8_t {
   kQuarantine,
   kRestartReplay,
   kRestartNoReplay,
+  // Already failed, then torn down. A cancel marks the slot abandoned
+  // through fail_call, the path a deadline takes too.
+  kQuarantineThenStop,
+  kCancelThenStop,
+  kCancelThenQuarantine,
 };
+
+/// The event that ends a row: the second one of an "already failed" row.
+Teardown last_event(Teardown event) {
+  switch (event) {
+    case Teardown::kQuarantineThenStop:
+    case Teardown::kCancelThenStop:
+      return Teardown::kStop;
+    case Teardown::kCancelThenQuarantine:
+      return Teardown::kQuarantine;
+    default:
+      return event;
+  }
+}
+
+bool quarantines(Teardown event) {
+  return event == Teardown::kQuarantine ||
+         event == Teardown::kQuarantineThenStop ||
+         event == Teardown::kCancelThenQuarantine;
+}
+
+bool cancels(Teardown event) {
+  return event == Teardown::kCancelThenStop ||
+         event == Teardown::kCancelThenQuarantine;
+}
 
 struct TeardownCase {
   HeldIn state;
@@ -893,6 +924,12 @@ std::optional<ErrorCode> table_outcome(HeldIn state, Teardown event) {
     case Teardown::kRestartNoReplay:
       if (state == HeldIn::kRunningMultiactive) return std::nullopt;
       return ErrorCode::kObjectDown;
+    // The first failure is the one the caller keeps.
+    case Teardown::kQuarantineThenStop:
+      return ErrorCode::kObjectDown;
+    case Teardown::kCancelThenStop:
+    case Teardown::kCancelThenQuarantine:
+      return ErrorCode::kCancelled;
   }
   return std::nullopt;
 }
@@ -902,8 +939,10 @@ std::string teardown_case_name(
   static const char* const kStates[] = {
       "Overflow", "Attached",           "Accepted", "Deferred",
       "RunningSerial", "RunningMultiactive", "Ready", "Awaited"};
-  static const char* const kEvents[] = {"Stop", "Quarantine", "RestartReplay",
-                                        "RestartNoReplay"};
+  static const char* const kEvents[] = {
+      "Stop",           "Quarantine",         "RestartReplay",
+      "RestartNoReplay", "QuarantineThenStop", "CancelThenStop",
+      "CancelThenQuarantine"};
   return std::string(kStates[static_cast<int>(info.param.state)]) + "_" +
          kEvents[static_cast<int>(info.param.event)];
 }
@@ -941,10 +980,10 @@ class TeardownRig {
       : c_(c),
         obj_("Teardown",
              ObjectOptions{.supervision = {
-                               .mode = c.event == Teardown::kStop
-                                           ? SupervisionMode::kFailFast
-                                       : c.event == Teardown::kQuarantine
+                               .mode = quarantines(c.event)
                                            ? SupervisionMode::kQuarantine
+                                       : last_event(c.event) == Teardown::kStop
+                                           ? SupervisionMode::kFailFast
                                            : SupervisionMode::kRestart,
                                .max_restarts = 1,
                                .initial_backoff = 1ms,
@@ -1067,9 +1106,20 @@ TEST_P(TeardownTableTest, HeldCallMeetsItsCell) {
   if (c.state == HeldIn::kOverflow) {
     held.push_back(rig.obj_.async_call(rig.target_, {Value(1)}));
   }
-  held.push_back(rig.obj_.async_call(rig.target_, {Value(2)}));
+  auto cancel = std::make_shared<CancelToken>();
+  held.push_back(rig.obj_.async_call(
+      rig.target_, {Value(2)},
+      cancels(c.event) ? CallOptions{.cancel = cancel} : CallOptions{}));
   ASSERT_TRUE(rig.staged_.wait());
   ASSERT_TRUE(eventually([&] { return rig.staged(held.size()); }));
+
+  // An "already failed" row fails the held call before its last event.
+  if (c.event == Teardown::kQuarantineThenStop) {
+    (void)outcome_of(rig.obj_.async_call(rig.boom_, {}));
+  } else if (cancels(c.event)) {
+    cancel->request_cancel();
+    EXPECT_EQ(outcome_of(held.back()), ErrorCode::kCancelled);
+  }
 
   // Apply the event. A stop returns only once the held bodies drain, so it
   // runs aside while the outcomes are read; a crash has been applied once
@@ -1077,10 +1127,17 @@ TEST_P(TeardownTableTest, HeldCallMeetsItsCell) {
   const std::optional<ErrorCode> want = table_outcome(c.state, c.event);
   std::vector<std::optional<ErrorCode>> got;
   std::optional<ErrorCode> holder_got;
-  if (c.event == Teardown::kStop) {
+  if (last_event(c.event) == Teardown::kStop) {
     std::thread stopper([&] { rig.obj_.stop(); });
     for (auto& h : held) got.push_back(outcome_of(h));
     if (holder) holder_got = outcome_of(*holder);
+    if (c.event != Teardown::kStop) {
+      // The held call failed before the stop, so its outcome says nothing
+      // about the stop's sweep: give the sweep time to reach a held body's
+      // slot before the body returns and frees it.
+      EXPECT_TRUE(eventually([&] { return !rig.obj_.running(); }));
+      std::this_thread::sleep_for(50ms);
+    }
     rig.release_.open();
     stopper.join();
   } else {
@@ -1097,13 +1154,14 @@ TEST_P(TeardownTableTest, HeldCallMeetsItsCell) {
 
   const bool restart = c.event == Teardown::kRestartReplay ||
                        c.event == Teardown::kRestartNoReplay;
-  EXPECT_EQ(rig.obj_.quarantined(), c.event == Teardown::kQuarantine);
+  EXPECT_EQ(rig.obj_.quarantined(), quarantines(c.event));
   EXPECT_EQ(rig.obj_.restarts(), restart ? 1 : 0);
   if (restart) {
     EXPECT_EQ(rig.obj_.call(rig.target_, {Value(3)})[0].as_int(), 3);
   } else {
     EXPECT_EQ(outcome_of(rig.obj_.async_call(rig.target_, {Value(3)})),
-              c.event == Teardown::kStop ? ErrorCode::kObjectStopped
+              last_event(c.event) == Teardown::kStop
+                  ? ErrorCode::kObjectStopped
                                          : ErrorCode::kObjectDown);
   }
 
@@ -1125,6 +1183,12 @@ std::vector<TeardownCase> all_teardown_cases() {
       out.push_back(
           TeardownCase{static_cast<HeldIn>(s), static_cast<Teardown>(e)});
     }
+  }
+  out.push_back({HeldIn::kRunningSerial, Teardown::kQuarantineThenStop});
+  for (HeldIn s : {HeldIn::kAccepted, HeldIn::kRunningSerial, HeldIn::kReady,
+                   HeldIn::kAwaited}) {
+    out.push_back({s, Teardown::kCancelThenStop});
+    out.push_back({s, Teardown::kCancelThenQuarantine});
   }
   return out;
 }
