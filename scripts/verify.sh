@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full verification sweep: tier-1 build + tests, then the two sanitizer
-# configurations over the concurrency-heavy suites.
+# configurations over the concurrency-heavy suites and the multi-process
+# cluster harness.
 #
 #   scripts/verify.sh            # tier-1 + TSan + ASan/UBSan
 #   scripts/verify.sh --tier1    # tier-1 only (what CI gates on)
@@ -61,19 +62,6 @@ cmake -B build -S . -DALPS_WERROR=ON >/dev/null
 cmake --build build -j "$JOBS"
 (cd build && ctest --output-on-failure -j "$JOBS" --repeat until-fail:10)
 
-echo "== multi-process smoke: 2 server processes over unix sockets =="
-./build/examples/example_distributed_dictionary driver 2 --smoke
-
-# Chaos soak (DESIGN.md §4.11) is opt-in: ALPS_SOAK=1 scripts/verify.sh
-# also runs the kill -9 / membership-churn harness, here and again under
-# each sanitizer below.
-if [[ "${ALPS_SOAK:-}" == 1 ]]; then
-  echo "== chaos soak: kill -9 + membership churn over unix sockets =="
-  ./build/examples/example_distributed_dictionary chaos 3 --ci
-  echo "== shard soak: live 2->3->4 shard split under traffic =="
-  ./build/examples/example_distributed_dictionary shard-soak --ci
-fi
-
 if [[ "$TIER1_ONLY" == 1 ]]; then
   echo "verify: tier-1 OK"
   exit 0
@@ -94,22 +82,21 @@ SAN_SUITES=(
 for san in thread address; do
   echo "== ALPS_SANITIZE=$san build + concurrency suites =="
   cmake -B "build-$san" -S . -DALPS_SANITIZE="$san" >/dev/null
-  cmake --build "build-$san" -j "$JOBS" --target "${SAN_SUITES[@]}"
+  cmake --build "build-$san" -j "$JOBS" --target "${SAN_SUITES[@]}" \
+    cluster_harness
   for t in "${SAN_SUITES[@]}"; do
     echo "-- [$san] $t"
     "build-$san/tests/$t" --gtest_brief=1 || {
       echo "verify: $san/$t FAILED"; exit 1; }
   done
-  if [[ "${ALPS_SOAK:-}" == 1 ]]; then
-    echo "-- [$san] chaos soak"
-    cmake --build "build-$san" -j "$JOBS" \
-      --target example_distributed_dictionary
-    "build-$san/examples/example_distributed_dictionary" chaos 3 --ci || {
-      echo "verify: $san/chaos FAILED"; exit 1; }
-    echo "-- [$san] shard-migration soak"
-    "build-$san/examples/example_distributed_dictionary" shard-soak --ci || {
-      echo "verify: $san/shard-soak FAILED"; exit 1; }
-  fi
+  # The socket transport across real processes (DESIGN.md §4.11, §4.12):
+  # the same three modes ctest runs as net_multiprocess_smoke,
+  # net_chaos_soak and net_shard_migration_soak.
+  for mode in "smoke 2" "chaos 3" "shard"; do
+    echo "-- [$san] cluster_harness $mode"
+    "build-$san/tests/cluster_harness" $mode || {
+      echo "verify: $san/cluster_harness $mode FAILED"; exit 1; }
+  done
 done
 
 echo "verify: tier-1 + thread + address all OK"
