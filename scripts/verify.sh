@@ -11,12 +11,13 @@
 # Tier-1 runs every ctest case until it fails, up to 10 times, so a flake
 # that shows up one run in a few fails the gate instead of slipping by.
 #
-# Sanitizer builds go to build-tsan/ and build-asan/ so they never disturb
-# the primary build/ tree. The sanitizer pass runs the suites that exercise
-# kernel concurrency, the executor, supervision, multiactive scheduling and
-# the codec fuzzers; the full matrix × every suite would triple the wall
-# time for no additional coverage (the remaining suites are single-threaded
-# protocol tests).
+# Sanitizer builds go to build-thread/ and build-address/ so they never
+# disturb the primary build/ tree. The sanitizer pass runs the suites that
+# exercise kernel concurrency, the executor, supervision, multiactive
+# scheduling and the codec fuzzers; the full matrix × every suite would
+# triple the wall time for no additional coverage (the remaining suites are
+# single-threaded protocol tests). Each list of suites is built as the one
+# `suites` goal (CMakeLists.txt), so its targets compile in parallel.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -34,8 +35,9 @@ if [[ "${1:-}" == "--stress" ]]; then
   STRESS_SUITES=(net_socket_test net_routing_test core_object_test
                  core_property_test core_supervision_test
                  core_multiactive_test)
-  cmake -B build -S . >/dev/null
-  cmake --build build -j "$JOBS" --target "${STRESS_SUITES[@]}"
+  cmake -B build -S . \
+    -DALPS_SUITE_TARGETS="$(IFS=';'; echo "${STRESS_SUITES[*]}")" >/dev/null
+  cmake --build build -j "$JOBS" --target suites
   for pin in "taskset -c 0" ""; do
     for t in "${STRESS_SUITES[@]}"; do
       echo "-- [${pin:-all cores}] $t x50"
@@ -81,9 +83,10 @@ SAN_SUITES=(
 
 for san in thread address; do
   echo "== ALPS_SANITIZE=$san build + concurrency suites =="
-  cmake -B "build-$san" -S . -DALPS_SANITIZE="$san" >/dev/null
-  cmake --build "build-$san" -j "$JOBS" --target "${SAN_SUITES[@]}" \
-    cluster_harness
+  cmake -B "build-$san" -S . -DALPS_SANITIZE="$san" \
+    -DALPS_SUITE_TARGETS="$(IFS=';'; echo "${SAN_SUITES[*]};cluster_harness")" \
+    >/dev/null
+  cmake --build "build-$san" -j "$JOBS" --target suites
   for t in "${SAN_SUITES[@]}"; do
     echo "-- [$san] $t"
     "build-$san/tests/$t" --gtest_brief=1 || {

@@ -7,8 +7,11 @@
 // an error if the body threw or the object stopped.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <memory>
@@ -123,9 +126,29 @@ class CallState {
     return done_;
   }
 
+  /// Untimed wait. The only wait that registers as parked: while this
+  /// caller sleeps here, the kernel may hand it the call's own multiactive
+  /// body to run on this thread instead of waking a pool worker
+  /// (hand_to_waiter; DESIGN.md §4.8). A handed-off body is always run, even
+  /// when the call completed first, as the pool drains a queued task.
   void wait() const {
     std::unique_lock lock(mu_);
-    cv_.wait(lock, [&] { return done_; });
+    if (done_) return;  // a pending handoff belongs to a parked waiter
+    // parked_ is only written under mu_; the atomic serves waiters().
+    parked_.store(parked_.load(std::memory_order_relaxed) + 1,
+                  std::memory_order_relaxed);
+    for (;;) {
+      cv_.wait(lock, [&] { return done_ || handoff_; });
+      if (!handoff_) break;
+      std::function<void()> body = std::move(handoff_);
+      handoff_ = nullptr;
+      lock.unlock();
+      body();
+      body = nullptr;  // captures released outside mu_
+      lock.lock();
+    }
+    parked_.store(parked_.load(std::memory_order_relaxed) - 1,
+                  std::memory_order_relaxed);
   }
 
   /// Plain timed wait; returns false on timeout without completing the call.
@@ -174,6 +197,33 @@ class CallState {
     return done_ && error_ != nullptr;
   }
 
+  /// Threads parked in the untimed wait(). A lock-free hint: the kernel
+  /// reads it to skip hand_to_waiter for a call nobody waits on, and tests
+  /// poll it to park a caller before its body launches.
+  std::size_t waiters() const {
+    return parked_.load(std::memory_order_relaxed);
+  }
+
+  /// Kernel-internal (caller-runs dispatch, DESIGN.md §4.8): if a caller is
+  /// parked in the untimed wait(), the call is not done and no body is
+  /// already handed off, stores make_task() for exactly one such caller to
+  /// run and wakes it; otherwise returns false without calling make_task.
+  /// Decided once, under mu_, so a body goes to the caller or to the pool,
+  /// never both, and a pending handoff is never overwritten unrun.
+  template <class MakeTask>
+  bool hand_to_waiter(MakeTask&& make_task) {
+    {
+      std::scoped_lock lock(mu_);
+      if (done_ || handoff_ || parked_.load(std::memory_order_relaxed) == 0) {
+        return false;
+      }
+      handoff_ = make_task();
+    }
+    // All waiters: a timed waiter shares cv_ and ignores the handoff.
+    cv_.notify_all();
+    return true;
+  }
+
   /// Registers a completion callback invoked exactly once, on the completing
   /// thread (or immediately if already done). Used by the RPC layer to send
   /// the response frame without dedicating a thread per in-flight call.
@@ -197,6 +247,11 @@ class CallState {
   std::exception_ptr error_;
   std::function<void(CallState&)> on_complete_;
   bool done_ = false;
+  /// Untimed waiters (written under mu_) and the body handed to one of them
+  /// (see wait()). After done_, so the members the completion path touches
+  /// keep their offsets.
+  mutable std::atomic<std::size_t> parked_{0};
+  mutable std::function<void()> handoff_;
 };
 
 /// The caller's side of an invocation (a lightweight shared future).
@@ -237,6 +292,9 @@ struct CallRecord {
   std::shared_ptr<CallState> state;
   std::chrono::steady_clock::time_point arrived;
   std::uint64_t id = 0;  // per-object unique id (tracing)
+  /// Carries a deadline or a cancel token: its body always takes the pool,
+  /// so kTimeout/kCancelled reach a waiting caller at expiry, not after it.
+  bool guarded = false;
 };
 
 }  // namespace alps

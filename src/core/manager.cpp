@@ -235,7 +235,7 @@ void Manager::start_compatible(const Accepted& a) {
   // the kernel launches it in arrival order when the conflict drains, and
   // completes the caller directly when the body returns (no await/finish).
   assert_manager_thread("start_compatible");
-  std::vector<sched::BatchItem> launch;
+  std::vector<Object::BodyLaunch> launch;
   {
     std::scoped_lock lock(obj_->mu_);
     Object::EntryCore& e = obj_->core(a.entry);
@@ -260,8 +260,7 @@ void Manager::start_compatible(const Accepted& a) {
     ValueList full = std::move(s.call->params);
     s.call->params.clear();
     if (obj_->compat_admissible_locked(a.entry)) {
-      obj_->ma_mark_running_locked(a.entry, a.slot);
-      launch.push_back(obj_->make_body_task(a.entry, a.slot, std::move(full)));
+      obj_->ma_start_locked(a.entry, a.slot, std::move(full), launch);
     } else {
       s.state = Object::SlotState::kDeferred;
       s.multiactive = true;
@@ -274,22 +273,23 @@ void Manager::start_compatible(const Accepted& a) {
     }
     obj_->note_progress();
   }
-  if (!launch.empty()) obj_->executor_->submit_batch(std::move(launch));
+  if (!launch.empty()) obj_->launch_bodies(std::move(launch));
 }
 
 std::size_t Manager::start_compatible_pending(EntryRef entry) {
   // Batched accept+start_compatible: under ONE lock acquisition, accept and
   // launch attached calls of `entry` while the compat gate stays open (the
   // gate closes when an incompatible group is in flight or an older
-  // incompatible call is waiting its turn). One executor wakeup for the
-  // whole batch — this is the multiactive fast path.
+  // incompatible call is waiting its turn). A body whose caller is parked
+  // runs on that caller; the rest cost one executor wakeup for the whole
+  // batch — this is the multiactive fast path.
   assert_manager_thread("start_compatible_pending");
   Object::EntryCore& e = obj_->core_checked(entry, "start_compatible_pending");
   if (!e.intercepted) {
     raise(ErrorCode::kProtocolViolation,
           "start_compatible_pending on non-intercepted entry " + e.decl.name);
   }
-  std::vector<sched::BatchItem> launch;
+  std::vector<Object::BodyLaunch> launch;
   std::size_t n = 0;
   {
     std::scoped_lock lock(obj_->mu_);
@@ -303,13 +303,12 @@ std::size_t Manager::start_compatible_pending(EntryRef entry) {
       Object::Slot& s = e.slots[slot_idx];
       ValueList full = std::move(s.call->params);
       s.call->params.clear();
-      obj_->ma_mark_running_locked(idx, slot_idx);
-      launch.push_back(obj_->make_body_task(idx, slot_idx, std::move(full)));
+      obj_->ma_start_locked(idx, slot_idx, std::move(full), launch);
       ++n;
     }
     if (n > 0) obj_->note_progress();
   }
-  if (!launch.empty()) obj_->executor_->submit_batch(std::move(launch));
+  if (!launch.empty()) obj_->launch_bodies(std::move(launch));
   return n;
 }
 

@@ -335,6 +335,13 @@ void Object::stop() {
   }
   for (auto& t : retired) t.join();
   if (executor_) executor_->shutdown();
+  {
+    // Caller-run bodies drain like the pool's. Every launch that could hand
+    // one off is over by now (manager and supervisor joined, pool drained),
+    // and a caller-run body's own launches precede its decrement.
+    std::unique_lock lock(caller_run_mu_);
+    caller_run_cv_.wait(lock, [&] { return caller_runs_ == 0; });
+  }
   stop_done_.set();
 }
 
@@ -471,8 +478,8 @@ CallHandle Object::dispatch(std::size_t entry_idx, ValueList params,
   if (intercepted) e.in_intake.fetch_add(1, std::memory_order_relaxed);
   intake_.push(IntakeItem{entry_idx,
                           CallRecord{std::move(params), state,
-                                     std::chrono::steady_clock::now(),
-                                     call_id}});
+                                     std::chrono::steady_clock::now(), call_id,
+                                     opts != nullptr && !opts->none()}});
   if (intercepted) {
     // Batched intake: the manager drains the whole backlog under one lock
     // acquisition when it next evaluates accept/select. signal() skips the
@@ -743,7 +750,7 @@ void Object::run_body(std::size_t entry_idx, std::size_t slot_idx,
 
   std::shared_ptr<CallState> caller;
   ValueList final_results;
-  std::vector<sched::BatchItem> launch;
+  std::vector<BodyLaunch> launch;
   bool wake_mgr = true;
   {
     std::scoped_lock lock(mu_);
@@ -839,7 +846,46 @@ void Object::run_body(std::size_t entry_idx, std::size_t slot_idx,
       caller->complete(std::move(final_results));
     }
   }
-  if (!launch.empty()) executor_->submit_batch(std::move(launch));
+  if (!launch.empty()) launch_bodies(std::move(launch));
+}
+
+void Object::launch_bodies(std::vector<BodyLaunch> launches) {
+  // The parked caller would wake for the completion anyway; running the body
+  // itself saves the pool worker's wakeup and the completion's handoff back.
+  // A launch with a body no caller can take wakes the pool regardless, so
+  // all of its bodies go there: the pool then still bounds how many run at
+  // once, as under pipelined load, where caller-run bodies on top of a busy
+  // pool cost throughput (EXPERIMENTS.md, E16).
+  const bool to_callers =
+      std::all_of(launches.begin(), launches.end(),
+                  [](const BodyLaunch& l) { return l.caller != nullptr; });
+  std::vector<sched::BatchItem> pooled;
+  for (BodyLaunch& l : launches) {
+    // The count rises before the caller can see the body. noexcept: what
+    // escapes run_body ends the program, as on a pool worker.
+    if (to_callers && l.caller->hand_to_waiter([&] {
+          {
+            std::scoped_lock lock(caller_run_mu_);
+            ++caller_runs_;
+          }
+          return [this, entry = l.entry, slot = l.slot,
+                  params = std::move(l.params)]() mutable noexcept {
+            run_body(entry, slot, std::move(params));
+            end_caller_run();
+          };
+        })) {
+      continue;
+    }
+    pooled.push_back(make_body_task(l.entry, l.slot, std::move(l.params)));
+  }
+  if (!pooled.empty()) executor_->submit_batch(std::move(pooled));
+}
+
+void Object::end_caller_run() {
+  // Under the mutex, so stop() cannot see zero, return and destroy the
+  // object before this thread is done with caller_run_cv_.
+  std::scoped_lock lock(caller_run_mu_);
+  if (--caller_runs_ == 0) caller_run_cv_.notify_all();
 }
 
 // ---------------------------------------------------------------------------
@@ -881,8 +927,8 @@ bool Object::compat_gate_open_locked(std::size_t i) const {
   return true;
 }
 
-void Object::ma_mark_running_locked(std::size_t entry_idx,
-                                    std::size_t slot_idx) {
+void Object::ma_start_locked(std::size_t entry_idx, std::size_t slot_idx,
+                             ValueList params, std::vector<BodyLaunch>& out) {
   EntryCore& e = core(entry_idx);
   Slot& s = e.slots[slot_idx];
   s.state = SlotState::kRunning;
@@ -894,9 +940,29 @@ void Object::ma_mark_running_locked(std::size_t entry_idx,
   ++ma_total_running_;
   if (ma_total_running_ > 1) ++e.ma_concurrent;
   trace(e, s.call->id, slot_idx, CallPhase::kStarted, ma_total_running_);
+  // Who runs the body (DESIGN.md §4.8): a guarded call keeps the pool so its
+  // deadline or cancel reaches a waiting caller on time, and a slot-bound
+  // object keeps its one process per slot. A supervised object (quarantine,
+  // restart, or an escalating watchdog) keeps the pool too: its teardown
+  // releases the caller of a hung body, which a caller running that body
+  // could not be. A call nobody waits on yet (a pipelined one) skips the
+  // handoff attempt; hand_to_waiter decides. Once one launch in `out` has
+  // no caller, the whole batch takes the pool (launch_bodies), so the rest
+  // skip the waiter read: it is one more cache line under mu_ per launch.
+  const bool supervised =
+      opts_.supervision.mode != SupervisionMode::kFailFast ||
+      (opts_.watchdog.enabled && opts_.watchdog.escalate);
+  std::shared_ptr<CallState> caller;
+  if ((out.empty() || out.back().caller) && !s.call->guarded &&
+      !supervised && opts_.model != sched::ProcessModel::kSlotBound &&
+      s.call->state->waiters() > 0) {
+    caller = s.call->state;
+  }
+  out.push_back(
+      BodyLaunch{entry_idx, slot_idx, std::move(params), std::move(caller)});
 }
 
-void Object::drain_deferred_locked(std::vector<sched::BatchItem>& out) {
+void Object::drain_deferred_locked(std::vector<BodyLaunch>& out) {
   if (ma_queue_.empty()) return;
   // FIFO with a blocked-set: a deferred call launches only if it is
   // compatible with everything running AND with every earlier-deferred call
@@ -939,8 +1005,7 @@ void Object::drain_deferred_locked(std::vector<sched::BatchItem>& out) {
     }
     ValueList full = std::move(s.deferred_params);
     s.deferred_params.clear();
-    ma_mark_running_locked(ei, si);
-    out.push_back(make_body_task(ei, si, std::move(full)));
+    ma_start_locked(ei, si, std::move(full), out);
     // A launch only adds occupancy (more restrictive), so the scan resumes
     // at the same index with the updated ma_running counts.
   }
@@ -1238,7 +1303,7 @@ void Object::fail_call(std::uint64_t id, std::size_t entry_idx,
   auto state = wstate.lock();
   if (!state || state->ready()) return;
   bool touched_sched = false;
-  std::vector<sched::BatchItem> launch;
+  std::vector<BodyLaunch> launch;
   {
     std::scoped_lock lock(mu_);
     if (!stopping_.load(std::memory_order_acquire) &&
@@ -1316,7 +1381,7 @@ void Object::fail_call(std::uint64_t id, std::size_t entry_idx,
   // code). First-completion-wins: if finish/fail raced past us, this no-ops
   // and the caller keeps the real completion.
   state->fail(code, why);
-  if (!launch.empty()) executor_->submit_batch(std::move(launch));
+  if (!launch.empty()) launch_bodies(std::move(launch));
   if (touched_sched) {
     // #P moved or a candidate vanished: discard cached guard verdicts and
     // wake the manager so select/accept re-evaluates against the new state.

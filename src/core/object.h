@@ -533,15 +533,16 @@ class Object {
                                            CallRecord rec);
   /// Runs one started intercepted body (slot is already kRunning and holds
   /// the call) and its completion epilogue, on whichever thread calls it: a
-  /// pooled worker via make_body_task, or the manager thread itself for an
-  /// inline body (execute, or start of an ImplDecl::inline_start entry).
+  /// pooled worker via make_body_task, the manager thread itself for an
+  /// inline body (execute, or start of an ImplDecl::inline_start entry), or
+  /// the call's own parked caller for a multiactive body (launch_bodies).
   /// The epilogue routes on Slot::multiactive: the serial path parks the
   /// result for await/finish, the compat path completes the caller directly
   /// and drains the deferred queue. Call without mu_.
   void run_body(std::size_t entry_idx, std::size_t slot_idx,
                 ValueList params);
-  /// Wraps run_body as an executor task. Requires mu_ (reads global_key;
-  /// safe either way, but every caller already holds it).
+  /// Wraps run_body as an executor task. Needs no lock: global_key is fixed
+  /// at start().
   sched::BatchItem make_body_task(std::size_t entry_idx, std::size_t slot_idx,
                                   ValueList full_params);
   void submit_body(std::size_t entry_idx, std::size_t slot_idx,
@@ -570,13 +571,33 @@ class Object {
   /// oldest attached call (arrival-order fairness — an incompatible call
   /// that arrived first gets its turn before the gate reopens).
   bool compat_gate_open_locked(std::size_t i) const;
-  /// Marks an accepted slot Running on the compat path: counters, occupancy
-  /// transitions, kStarted trace (with the realized concurrency level).
-  void ma_mark_running_locked(std::size_t entry_idx, std::size_t slot_idx);
+  /// One multiactive body to launch: built under mu_ by ma_start_locked,
+  /// issued outside it by launch_bodies.
+  struct BodyLaunch {
+    std::size_t entry = 0;
+    std::size_t slot = 0;
+    ValueList params;
+    /// The call's state when its caller may run the body; null keeps the
+    /// pool (a guarded call, a supervised or slot-bound object, or no
+    /// caller parked).
+    std::shared_ptr<CallState> caller;
+  };
+  /// Marks an accepted slot Running on the compat path (counters, occupancy
+  /// transitions, kStarted trace with the realized concurrency level) and
+  /// appends its launch to `out`, the batch launch_bodies will issue.
+  void ma_start_locked(std::size_t entry_idx, std::size_t slot_idx,
+                       ValueList params, std::vector<BodyLaunch>& out);
+  /// Issues multiactive launches, without mu_: each body goes to its caller
+  /// if that caller is parked in the untimed CallState::wait(), the rest to
+  /// the executor in one batch (caller-runs dispatch, DESIGN.md §4.8).
+  void launch_bodies(std::vector<BodyLaunch> launches);
+  /// Epilogue of a caller-run body; the last thing it does with the object,
+  /// since stop() returns once the count drains.
+  void end_caller_run();
   /// Launches every deferred call that became admissible, FIFO with a
   /// blocked-set (a deferred call never overtakes an earlier-deferred
-  /// incompatible one). Appends body tasks for submission outside mu_.
-  void drain_deferred_locked(std::vector<sched::BatchItem>& out);
+  /// incompatible one). Appends launches for launch_bodies outside mu_.
+  void drain_deferred_locked(std::vector<BodyLaunch>& out);
   /// Removes one slot's (entry,slot) pair from ma_queue_ (fail/teardown).
   void ma_unqueue_locked(std::size_t entry_idx, std::size_t slot_idx);
   /// accept (§2.3) of an attached slot: unlinks it from the attached queue,
@@ -679,6 +700,18 @@ class Object {
   /// Guard descriptions of the manager's most recent select (guarded by
   /// mu_); copied by value into stall reports so they survive the Select.
   std::vector<std::string> guard_snapshot_;
+
+  // -- caller-runs state. Last: placed ahead of the supervision state it
+  // moved that state's hot members (down_, read by every dispatch, and
+  // mgr_ops_, bumped by the manager) to other cache lines, and `monitor`
+  // ran about 2.5% slower. --
+  /// Multiactive bodies handed to a parked caller and not yet returned from
+  /// run_body (guarded by caller_run_mu_). stop() waits for zero after
+  /// draining the executor, so no caller thread is left inside the object
+  /// when stop() returns.
+  std::mutex caller_run_mu_;
+  std::size_t caller_runs_ = 0;
+  std::condition_variable caller_run_cv_;
 };
 
 }  // namespace alps

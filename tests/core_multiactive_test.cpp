@@ -3,14 +3,16 @@
 // serial_group and their validation at start()), the start_compatible /
 // start_compatible_pending dispatch paths, deferred-call parking and
 // arrival-order drain, gate fairness (no overtaking of an older incompatible
-// call), interaction with cancellation / deadlines / restart, serial
-// equivalence against the unannotated protocol, and the trace/stats
-// cross-check.
+// call), interaction with cancellation / deadlines / restart, which thread
+// runs a body (caller-runs dispatch), serial equivalence against the
+// unannotated protocol, and the trace/stats cross-check.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -550,6 +552,228 @@ TEST(Multiactive, DeferredCallLaunchedDuringRestartBackoffCompletes) {
   EXPECT_EQ(outcome_of(std::move(trigger)), std::nullopt);
   EXPECT_EQ(writes_started.load(), 1);
   obj.stop();
+}
+
+// ---------------------------------------------------------------------------
+// Caller-runs dispatch: who runs a multiactive body (DESIGN.md §4.8)
+// ---------------------------------------------------------------------------
+
+/// One compat-annotated Read entry. The manager holds each accepted call
+/// until `launch` opens, so a test can park the caller before the kernel
+/// picks the body's thread; with `block`, bodies then wait on `hold`.
+struct CallerRunRig {
+  Object obj;
+  EntryRef read;
+  Gate launch, hold;
+  std::atomic<int> entered{0}, active{0};
+  std::mutex mu;
+  std::map<std::int64_t, std::thread::id> body_thread;  // by tag
+
+  explicit CallerRunRig(bool block,
+                        ObjectOptions opts = ObjectOptions{.pool_workers = 2})
+      : obj("CallerRun", std::move(opts)) {
+    read = obj.define_entry(
+        EntryDecl{.name = "Read", .params = 1, .results = 1}.compatible_with(
+            {"Read"}));
+    obj.implement(read, ImplDecl{.array = 4},
+                  [this, block](BodyCtx& ctx) -> ValueList {
+                    {
+                      std::scoped_lock lock(mu);
+                      body_thread[ctx.param(0).as_int()] =
+                          std::this_thread::get_id();
+                    }
+                    ++active;
+                    ++entered;
+                    if (block) hold.wait();
+                    --active;
+                    return {ctx.param(0)};
+                  });
+    obj.set_manager({intercept(read)}, [this](Manager& m) {
+      Select()
+          .on(accept_guard(read).compatible().then([&](Accepted a) {
+            launch.wait();
+            m.start_compatible(a);
+          }))
+          .loop(m);
+    });
+  }
+
+  std::thread::id thread_of(std::int64_t tag) {
+    std::scoped_lock lock(mu);
+    return body_thread[tag];
+  }
+};
+
+bool parked(const CallHandle& h, std::size_t n) {
+  return eventually([&] { return h.state()->waiters() == n; });
+}
+
+TEST(Multiactive, ParkedCallerRunsItsOwnBody) {
+  CallerRunRig rig(/*block=*/false);
+  rig.obj.start();
+  CallHandle h = rig.obj.async_call(rig.read, vals(7));
+  std::thread::id caller_id;
+  std::optional<ValueList> got;
+  std::thread caller([&] {
+    caller_id = std::this_thread::get_id();
+    got = h.get();
+  });
+  ASSERT_TRUE(parked(h, 1));
+  rig.launch.open();
+  caller.join();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ((*got)[0].as_int(), 7);
+  EXPECT_EQ(rig.thread_of(7), caller_id);
+  EXPECT_EQ(h.state()->waiters(), 0u);
+  rig.obj.stop();
+}
+
+TEST(Multiactive, CallerNotWaitingUsesThePool) {
+  CallerRunRig rig(/*block=*/true);
+  rig.launch.open();
+  rig.obj.start();
+  // Pipelined: the body starts while its caller is still issuing.
+  CallHandle h = rig.obj.async_call(rig.read, vals(1));
+  ASSERT_TRUE(eventually([&] { return rig.entered.load() == 1; }));
+  // A timed wait never takes a body either.
+  CallHandle t = rig.obj.async_call(rig.read, vals(2));
+  std::thread::id timed_id;
+  std::optional<ValueList> timed_got;
+  std::thread timed([&] {
+    timed_id = std::this_thread::get_id();
+    timed_got = t.get_for(5s);
+  });
+  ASSERT_TRUE(eventually([&] { return rig.entered.load() == 2; }));
+  rig.hold.open();
+  EXPECT_EQ(h.get()[0].as_int(), 1);
+  timed.join();
+  ASSERT_TRUE(timed_got.has_value());
+  EXPECT_EQ((*timed_got)[0].as_int(), 2);
+  EXPECT_NE(rig.thread_of(1), std::this_thread::get_id());
+  EXPECT_NE(rig.thread_of(2), timed_id);
+  rig.obj.stop();
+}
+
+TEST(Multiactive, DeadlineAndCancelCallsStayPooled) {
+  CallerRunRig rig(/*block=*/true);
+  rig.obj.start();
+  auto token = std::make_shared<CancelToken>();
+  CallHandle d =
+      rig.obj.async_call(rig.read, vals(1), CallOptions{.deadline = 1000ms});
+  CallHandle c =
+      rig.obj.async_call(rig.read, vals(2), CallOptions{.cancel = token});
+  std::thread::id d_id, c_id;
+  std::optional<ErrorCode> d_got, c_got;
+  std::thread dt([&] {
+    d_id = std::this_thread::get_id();
+    d_got = outcome_of(d);
+  });
+  std::thread ct([&] {
+    c_id = std::this_thread::get_id();
+    c_got = outcome_of(c);
+  });
+  ASSERT_TRUE(parked(d, 1));
+  ASSERT_TRUE(parked(c, 1));
+  rig.launch.open();
+  ASSERT_TRUE(eventually([&] { return rig.entered.load() == 2; }));
+  token->request_cancel();
+  // Both callers return while both bodies are still blocked on `hold`.
+  ct.join();
+  dt.join();
+  EXPECT_EQ(c_got, ErrorCode::kCancelled);
+  EXPECT_EQ(d_got, ErrorCode::kTimeout);
+  EXPECT_EQ(rig.active.load(), 2);
+  rig.hold.open();
+  EXPECT_NE(rig.thread_of(1), d_id);
+  EXPECT_NE(rig.thread_of(2), c_id);
+  rig.obj.stop();
+}
+
+TEST(Multiactive, TwoWaitersOnOneHandleRunTheBodyOnce) {
+  CallerRunRig rig(/*block=*/false);
+  rig.obj.start();
+  CallHandle h = rig.obj.async_call(rig.read, vals(5));
+  std::thread::id ids[2];
+  std::optional<ValueList> got[2];
+  std::vector<std::thread> waiters;
+  for (int i = 0; i < 2; ++i) {
+    waiters.emplace_back([&, i] {
+      ids[i] = std::this_thread::get_id();
+      got[i] = CallHandle(h).get();
+    });
+  }
+  ASSERT_TRUE(parked(h, 2));
+  rig.launch.open();
+  for (auto& w : waiters) w.join();
+  for (const auto& g : got) {
+    ASSERT_TRUE(g.has_value());
+    EXPECT_EQ((*g)[0].as_int(), 5);
+  }
+  EXPECT_EQ(rig.entered.load(), 1);
+  const std::thread::id ran_on = rig.thread_of(5);
+  EXPECT_TRUE(ran_on == ids[0] || ran_on == ids[1]);
+  rig.obj.stop();
+}
+
+TEST(Multiactive, StopWaitsForACallerRunBody) {
+  auto rig = std::make_unique<CallerRunRig>(/*block=*/true);
+  rig->obj.start();
+  CallHandle h = rig->obj.async_call(rig->read, vals(1));
+  std::thread::id caller_id;
+  std::optional<ErrorCode> got;
+  std::atomic<bool> returned{false};
+  std::thread caller([&] {
+    caller_id = std::this_thread::get_id();
+    got = outcome_of(h);
+    returned = true;
+  });
+  ASSERT_TRUE(parked(h, 1));
+  rig->launch.open();
+  ASSERT_TRUE(eventually([&] { return rig->entered.load() == 1; }));
+  EXPECT_EQ(rig->thread_of(1), caller_id);
+
+  std::atomic<bool> stopped{false};
+  std::thread stopper([&] {
+    rig->obj.stop();
+    stopped = true;
+  });
+  // stop() fails the call at once, but the caller running its body sees
+  // that only when the body returns (DESIGN.md §4.6).
+  EXPECT_TRUE(eventually([&] { return h.ready(); }));
+  std::this_thread::sleep_for(50ms);
+  EXPECT_FALSE(returned.load()) << "caller left a body still running";
+  EXPECT_FALSE(stopped.load()) << "stop() returned under a caller-run body";
+  rig->hold.open();
+  stopper.join();
+  // Destroyed while the caller thread may still be leaving its wait: a
+  // stop() that returned early would leave it inside freed memory.
+  rig.reset();
+  caller.join();
+  EXPECT_EQ(got, ErrorCode::kObjectStopped);
+}
+
+TEST(Multiactive, SupervisedObjectsKeepThePool) {
+  // Quarantine, restart and an escalating watchdog each release the caller
+  // of a hung body; a caller running that body could not be released.
+  std::vector<ObjectOptions> supervised(3, ObjectOptions{.pool_workers = 2});
+  supervised[0].supervision.mode = SupervisionMode::kQuarantine;
+  supervised[1].supervision.mode = SupervisionMode::kRestart;
+  supervised[2].watchdog = {.enabled = true, .escalate = true};
+  for (ObjectOptions& opts : supervised) {
+    CallerRunRig rig(/*block=*/false, std::move(opts));
+    rig.obj.start();
+    CallHandle h = rig.obj.async_call(rig.read, vals(3));
+    std::thread::id caller_id;
+    std::thread caller([&] {
+      caller_id = std::this_thread::get_id();
+      EXPECT_EQ(h.get()[0].as_int(), 3);
+    });
+    ASSERT_TRUE(parked(h, 1));
+    rig.launch.open();
+    caller.join();
+    EXPECT_NE(rig.thread_of(3), caller_id);
+    rig.obj.stop();
+  }
 }
 
 // ---------------------------------------------------------------------------

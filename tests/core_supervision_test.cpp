@@ -862,6 +862,11 @@ enum class HeldIn : std::uint8_t {
   kRunningMultiactive,
   kReady,
   kAwaited,
+  /// Running multiactive, launched while its own caller was parked in the
+  /// untimed wait (caller-runs dispatch, DESIGN.md §4.8): that caller runs
+  /// the body on a fail-fast object (the Stop row), the pool runs it on a
+  /// supervised one. Base events only.
+  kParkedCallerMultiactive,
 };
 
 enum class Teardown : std::uint8_t {
@@ -922,7 +927,10 @@ std::optional<ErrorCode> table_outcome(HeldIn state, Teardown event) {
       }
       return std::nullopt;
     case Teardown::kRestartNoReplay:
-      if (state == HeldIn::kRunningMultiactive) return std::nullopt;
+      if (state == HeldIn::kRunningMultiactive ||
+          state == HeldIn::kParkedCallerMultiactive) {
+        return std::nullopt;
+      }
       return ErrorCode::kObjectDown;
     // The first failure is the one the caller keeps.
     case Teardown::kQuarantineThenStop:
@@ -938,7 +946,8 @@ std::string teardown_case_name(
     const ::testing::TestParamInfo<TeardownCase>& info) {
   static const char* const kStates[] = {
       "Overflow", "Attached",           "Accepted", "Deferred",
-      "RunningSerial", "RunningMultiactive", "Ready", "Awaited"};
+      "RunningSerial", "RunningMultiactive", "Ready", "Awaited",
+      "ParkedCallerMultiactive"};
   static const char* const kEvents[] = {
       "Stop",           "Quarantine",         "RestartReplay",
       "RestartNoReplay", "QuarantineThenStop", "CancelThenStop",
@@ -996,6 +1005,7 @@ class TeardownRig {
         EntryDecl{.name = "Holder", .params = 0, .results = 0}.serial_group());
     boom_ = obj_.define_entry({.name = "Boom", .params = 0, .results = 0});
     obj_.implement(target_, [this](BodyCtx& ctx) -> ValueList {
+      if (entered_.load() == 0) target_thread_ = std::this_thread::get_id();
       ++entered_;
       release_.wait();
       return {ctx.param(0)};
@@ -1054,6 +1064,12 @@ class TeardownRig {
       case HeldIn::kRunningMultiactive:
         m.start_compatible(m.accept(target_));
         return;
+      case HeldIn::kParkedCallerMultiactive: {
+        Accepted a = m.accept(target_);
+        caller_parked_.wait();
+        m.start_compatible(a);
+        return;
+      }
       case HeldIn::kAwaited: {
         Accepted a = m.accept(target_);
         m.start(a);
@@ -1073,6 +1089,7 @@ class TeardownRig {
                obj_.pending(target_) == held;
       case HeldIn::kRunningSerial:
       case HeldIn::kRunningMultiactive:
+      case HeldIn::kParkedCallerMultiactive:
         return entered_.load() == 1;
       case HeldIn::kReady:
         return phases_.count("Target", CallPhase::kReady) == 1;
@@ -1089,7 +1106,8 @@ class TeardownRig {
   PhaseCounter phases_;
   std::atomic<int> incarnations_{0};
   std::atomic<int> entered_{0};
-  Gate staged_, release_;
+  std::atomic<std::thread::id> target_thread_{};  // of the first Target body
+  Gate staged_, release_, caller_parked_;
   Object obj_;  // last: stopped before the state its threads use goes away
 };
 
@@ -1110,8 +1128,33 @@ TEST_P(TeardownTableTest, HeldCallMeetsItsCell) {
   held.push_back(rig.obj_.async_call(
       rig.target_, {Value(2)},
       cancels(c.event) ? CallOptions{.cancel = cancel} : CallOptions{}));
+  // A parked-caller cell parks a caller on the held call before the manager
+  // launches it. Only the fail-fast object of the Stop row hands that
+  // caller the body; the supervised objects of the other rows keep it
+  // pooled, so their teardown can release the caller while the body hangs.
+  std::optional<std::thread> parked_caller;
+  std::atomic<std::thread::id> parked_id{};
+  std::atomic<bool> parked_returned{false};
+  std::optional<ErrorCode> parked_got;
+  if (c.state == HeldIn::kParkedCallerMultiactive) {
+    parked_caller.emplace([&, h = held.back()] {
+      parked_id = std::this_thread::get_id();
+      parked_got = outcome_of(h);
+      parked_returned = true;
+    });
+    ASSERT_TRUE(
+        eventually([&] { return held.back().state()->waiters() == 1; }));
+    rig.caller_parked_.open();
+  }
   ASSERT_TRUE(rig.staged_.wait());
   ASSERT_TRUE(eventually([&] { return rig.staged(held.size()); }));
+  if (parked_caller) {
+    if (c.event == Teardown::kStop) {
+      EXPECT_EQ(rig.target_thread_.load(), parked_id.load());
+    } else {
+      EXPECT_NE(rig.target_thread_.load(), parked_id.load());
+    }
+  }
 
   // An "already failed" row fails the held call before its last event.
   if (c.event == Teardown::kQuarantineThenStop) {
@@ -1131,6 +1174,11 @@ TEST_P(TeardownTableTest, HeldCallMeetsItsCell) {
     std::thread stopper([&] { rig.obj_.stop(); });
     for (auto& h : held) got.push_back(outcome_of(h));
     if (holder) holder_got = outcome_of(*holder);
+    // The stop failed the held call at once, but a caller running its body
+    // sees that only when the body returns (DESIGN.md §4.6).
+    if (parked_caller) {
+      EXPECT_FALSE(parked_returned.load());
+    }
     if (c.event != Teardown::kStop) {
       // The held call failed before the stop, so its outcome says nothing
       // about the stop's sweep: give the sweep time to reach a held body's
@@ -1142,11 +1190,21 @@ TEST_P(TeardownTableTest, HeldCallMeetsItsCell) {
     stopper.join();
   } else {
     (void)outcome_of(rig.obj_.async_call(rig.boom_, {}));
+    // The body stayed pooled, so a quarantine releases its parked caller
+    // while the body is still blocked, as for any other waiter.
+    if (parked_caller && quarantines(c.event)) {
+      EXPECT_TRUE(eventually([&] { return parked_returned.load(); }));
+      EXPECT_EQ(parked_got, want);
+    }
     rig.release_.open();
     for (auto& h : held) got.push_back(outcome_of(h));
     if (holder) holder_got = outcome_of(*holder);
   }
   for (const auto& g : got) EXPECT_EQ(g, want);
+  if (parked_caller) {
+    parked_caller->join();
+    EXPECT_EQ(parked_got, want);
+  }
   if (holder) {
     EXPECT_EQ(holder_got,
               table_outcome(HeldIn::kRunningMultiactive, c.event));
@@ -1178,7 +1236,8 @@ TEST_P(TeardownTableTest, HeldCallMeetsItsCell) {
 
 std::vector<TeardownCase> all_teardown_cases() {
   std::vector<TeardownCase> out;
-  for (int s = 0; s <= static_cast<int>(HeldIn::kAwaited); ++s) {
+  for (int s = 0; s <= static_cast<int>(HeldIn::kParkedCallerMultiactive);
+       ++s) {
     for (int e = 0; e <= static_cast<int>(Teardown::kRestartNoReplay); ++e) {
       out.push_back(
           TeardownCase{static_cast<HeldIn>(s), static_cast<Teardown>(e)});
