@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
@@ -46,9 +47,11 @@ inline int bench_main(int argc, char** argv) {
   args.push_back(nullptr);
   benchmark::Initialize(&n, args.data());
   if (benchmark::ReportUnrecognizedArguments(n, args.data())) return 1;
-  benchmark::RunSpecifiedBenchmarks();
+  const std::size_t ran = benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  return 0;
+  // A --benchmark_filter that matches nothing is a failure, not an empty
+  // success: bench_all would otherwise merge an empty result silently.
+  return ran == 0 ? 1 : 0;
 }
 
 /// Runs `worker(thread_index)` on `n` threads and joins them all.

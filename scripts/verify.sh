@@ -76,7 +76,7 @@ SAN_SUITES=(
   core_supervision_test core_multiactive_test core_trace_test
   sched_executor_test sched_executor_stress_test
   net_test net_failure_test net_fault_test net_routing_test
-  net_order_test net_socket_test
+  net_order_test net_socket_test net_transport_parity_test
   codec_fuzz_test integration_test
   apps_test
 )

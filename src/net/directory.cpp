@@ -137,18 +137,6 @@ void Directory::add_sharded(const std::string& object,
   map_[object] = std::move(p);
 }
 
-void Directory::set_shard_home(const std::string& object, std::uint32_t shard,
-                               NodeId home) {
-  std::scoped_lock lock(mu_);
-  auto it = map_.find(object);
-  if (it == map_.end() || it->second.mode != PlacementMode::kSharded ||
-      shard >= it->second.homes.size()) {
-    return;
-  }
-  it->second.homes[shard] = home;
-  it->second.epoch = next_epoch_locked(object);
-}
-
 void Directory::add_replicated(const std::string& object, NodeId primary,
                                std::vector<NodeId> replicas) {
   std::scoped_lock lock(mu_);

@@ -93,12 +93,6 @@ class Directory {
   /// epoch bump plus kWrongNode redirects migrate traffic key by key.
   void add_sharded(const std::string& object, std::vector<NodeId> homes);
 
-  /// Re-homes one shard of an existing sharded entry (live migration of a
-  /// single shard). No-op if the entry is not sharded or `shard` is out of
-  /// range.
-  void set_shard_home(const std::string& object, std::uint32_t shard,
-                      NodeId home);
-
   /// Installs (or wholesale replaces) a read-replicated placement:
   /// `primary` takes writes, reads spread over {primary} ∪ replicas.
   void add_replicated(const std::string& object, NodeId primary,

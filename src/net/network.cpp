@@ -58,11 +58,6 @@ void Network::set_link_latency(NodeId src, NodeId dst, LinkLatency latency) {
   link_overrides_.push_back({{src, dst}, latency});
 }
 
-void Network::set_default_latency(LinkLatency latency) {
-  std::scoped_lock lock(mu_);
-  default_latency_ = latency;
-}
-
 LinkLatency Network::latency_for(NodeId src, NodeId dst) const {
   for (const auto& [key, lat] : link_overrides_) {
     if (key.first == src && key.second == dst) return lat;
@@ -73,11 +68,6 @@ LinkLatency Network::latency_for(NodeId src, NodeId dst) const {
 void Network::set_loss_probability(double p) {
   std::scoped_lock lock(mu_);
   default_faults_.drop = p;
-}
-
-void Network::set_default_faults(LinkFaults faults) {
-  std::scoped_lock lock(mu_);
-  default_faults_ = faults;
 }
 
 void Network::set_link_faults(NodeId src, NodeId dst, LinkFaults faults) {
@@ -98,11 +88,6 @@ LinkFaults Network::faults_for(NodeId src, NodeId dst) const {
   return default_faults_;
 }
 
-void Network::partition(NodeId a, NodeId b) {
-  std::scoped_lock lock(mu_);
-  partitions_.emplace_back(a, b);
-}
-
 void Network::schedule_partition(NodeId a, NodeId b, std::uint64_t after_frames,
                                  std::uint64_t duration_frames) {
   std::scoped_lock lock(mu_);
@@ -111,16 +96,7 @@ void Network::schedule_partition(NodeId a, NodeId b, std::uint64_t after_frames,
       total_posted_ + after_frames + duration_frames});
 }
 
-void Network::heal() {
-  std::scoped_lock lock(mu_);
-  partitions_.clear();
-  scripted_partitions_.clear();
-}
-
-bool Network::partitioned_locked(NodeId a, NodeId b) const {
-  for (const auto& [pa, pb] : partitions_) {
-    if ((a == pa && b == pb) || (a == pb && b == pa)) return true;
-  }
+bool Network::scripted_cut_locked(NodeId a, NodeId b) const {
   for (const auto& s : scripted_partitions_) {
     if (total_posted_ < s.start || total_posted_ >= s.end) continue;
     if ((a == s.a && b == s.b) || (a == s.b && b == s.a)) return true;
@@ -128,11 +104,9 @@ bool Network::partitioned_locked(NodeId a, NodeId b) const {
   return false;
 }
 
-bool Network::is_partitioned(NodeId a, NodeId b) const {
+bool Network::link_down(NodeId a, NodeId b) const {
   std::scoped_lock lock(mu_);
-  // A departed node is unreachable from everywhere: the permanent cut.
-  if (departed_.contains(a) || departed_.contains(b)) return true;
-  return partitioned_locked(a, b);
+  return scripted_cut_locked(a, b);
 }
 
 bool Network::admit_peer(NodeId id, const std::string& name,
@@ -186,17 +160,18 @@ void Network::post(Frame frame) {
   {
     std::scoped_lock lock(mu_);
     // Failure injection: partitions and random loss silently eat the frame,
-    // as a real datagram network would. The partition check reads the clock
+    // as a real datagram network would. The script check reads the clock
     // before this post advances it, so "after N frames" cuts the N+1st; every
     // post (including eaten ones) then drives the script forward —
     // retransmissions make a scripted heal progress.
-    const bool cut = partitioned_locked(frame.src, frame.dst) ||
-                     departed_.contains(frame.src) ||
-                     departed_.contains(frame.dst);
+    const bool severed = cut_between(frame.src, frame.dst) ||
+                         scripted_cut_locked(frame.src, frame.dst) ||
+                         departed_.contains(frame.src) ||
+                         departed_.contains(frame.dst);
     ++total_posted_;
     ++stats_.frames_posted;
     stats_.bytes_posted += frame.payload.size();
-    if (cut) {
+    if (severed) {
       ++stats_.frames_lost;
       return;
     }

@@ -13,7 +13,8 @@
 // fault injectors below (drop/duplicate/reorder, scripted partitions) have
 // no socket equivalent, which is exactly why the simulation stays — every
 // fault-model test keeps its reproducible substrate, while the same RPC
-// stack runs unchanged over real sockets (transport_socket.h).
+// stack runs unchanged over real sockets (transport_socket.h). Manual
+// partitions are the base's cut / mend; here a cut loses every frame.
 #pragma once
 
 #include <chrono>
@@ -91,8 +92,6 @@ class Network final : public Transport {
   /// Overrides the latency of the directed link src → dst.
   void set_link_latency(NodeId src, NodeId dst, LinkLatency latency);
 
-  void set_default_latency(LinkLatency latency);
-
   /// Flattens `frame` with build() — the sim's single gather — and
   /// schedules it as post(Frame) does.
   void post(NodeId src, NodeId dst, FrameBuilder frame) override;
@@ -109,17 +108,8 @@ class Network final : public Transport {
   /// default LinkFaults' drop probability.
   void set_loss_probability(double p);
 
-  /// Faults applied to every link without a per-link override.
-  void set_default_faults(LinkFaults faults);
-
   /// Overrides the fault model of the directed link src → dst.
   void set_link_faults(NodeId src, NodeId dst, LinkFaults faults);
-
-  /// Severs both directions between the two node sets containing `a` and
-  /// `b`: frames between a's side and b's side are lost until heal() — a
-  /// network partition. (Simple two-sided model: the partition is defined
-  /// by the explicit pair list.)
-  void partition(NodeId a, NodeId b);
 
   /// Scripted partition, deterministic under the frame stream: the a↔b cut
   /// activates once `after_frames` total frames have been posted and heals
@@ -127,14 +117,6 @@ class Network final : public Transport {
   /// retransmissions drive the script forward even while the cut is active.
   void schedule_partition(NodeId a, NodeId b, std::uint64_t after_frames,
                           std::uint64_t duration_frames);
-
-  /// Removes all partitions, manual and scripted.
-  void heal();
-
-  /// True while an a↔b cut (manual or currently-active scripted) exists.
-  /// The RPC layer uses this to type a delivery failure as "partitioned"
-  /// rather than a plain timeout.
-  bool is_partitioned(NodeId a, NodeId b) const override;
 
   TransportStats transport_stats() const override;
   /// Injected-fault accounting (sim-only; see SimFaultStats).
@@ -168,6 +150,13 @@ class Network final : public Transport {
   /// exactly what a SocketTransport eviction looks like from the RPC layer.
   bool evict_peer(NodeId id) override;
 
+  /// Nothing to apply: post() reads the base's cut set and loses every
+  /// frame across a cut (frames already scheduled still arrive).
+  void apply_cut(NodeId, NodeId, bool) override {}
+
+  /// True while a scheduled partition of a↔b is active.
+  bool link_down(NodeId a, NodeId b) const override;
+
  private:
   struct Scheduled {
     std::chrono::steady_clock::time_point due;
@@ -187,7 +176,7 @@ class Network final : public Transport {
   void delivery_loop(const std::stop_token& st);
   LinkLatency latency_for(NodeId src, NodeId dst) const;
   LinkFaults faults_for(NodeId src, NodeId dst) const;
-  bool partitioned_locked(NodeId a, NodeId b) const;
+  bool scripted_cut_locked(NodeId a, NodeId b) const;
 
   mutable std::mutex mu_;
   mutable std::condition_variable cv_;
@@ -197,7 +186,6 @@ class Network final : public Transport {
   std::vector<Handler> handlers_;
   std::vector<std::pair<std::pair<NodeId, NodeId>, LinkLatency>> link_overrides_;
   std::vector<std::pair<std::pair<NodeId, NodeId>, LinkFaults>> fault_overrides_;
-  std::vector<std::pair<NodeId, NodeId>> partitions_;  // undirected pairs
   std::unordered_set<NodeId> departed_;  ///< evicted by remove_peer
   std::vector<PartitionScript> scripted_partitions_;
   std::uint64_t total_posted_ = 0;  // all post() calls, including lost frames

@@ -246,11 +246,6 @@ void Node::post_frame(NodeId dst, FrameBuilder frame) {
   transport_->post(id_, dst, std::move(frame));
 }
 
-void Node::export_channel(const ChannelRef& channel) {
-  std::scoped_lock lock(mu_);
-  exported_channels_[channel->id()] = channel;
-}
-
 std::pair<std::uint64_t, std::uint64_t> Node::encode_channel(
     const ChannelRef& channel) {
   std::scoped_lock lock(mu_);

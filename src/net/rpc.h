@@ -40,8 +40,8 @@
 // fan-in workloads pay well under one frame per call (bench_routing, E15).
 //
 // Fault tolerance. The network may drop, duplicate or reorder frames and
-// sever links (see network.h). Two cooperating mechanisms restore the
-// exactly-once call semantics ALPS objects assume:
+// cut links (Transport::cut, transport.h). Two cooperating mechanisms
+// restore the exactly-once call semantics ALPS objects assume:
 //
 //   * Client retries — a RetryPolicy retransmits an unanswered request with
 //     exponential backoff + jitter, driven by a per-Node retry timer thread.
@@ -304,10 +304,6 @@ class Node : public ChannelResolver {
 
   /// This node's cached route for `object` (tests/diagnostics).
   std::optional<NodeId> cached_route(const std::string& object) const;
-
-  /// Exports a locally created channel so its (node, id) name can be handed
-  /// out manually. Hosted-call marshalling does this automatically.
-  void export_channel(const ChannelRef& channel);
 
   // ChannelResolver:
   std::pair<std::uint64_t, std::uint64_t> encode_channel(

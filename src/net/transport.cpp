@@ -8,16 +8,54 @@ namespace alps::net {
 
 void Transport::add_peer(NodeId id, const std::string& name,
                          const std::string& address) {
-  if (admit_peer(id, name, address)) notify_membership(id, true);
+  if (!admit_peer(id, name, address)) return;
+  {
+    std::scoped_lock lock(partition_mu_);
+    evicted_.erase(id);
+  }
+  notify_membership(id, true);
 }
 
 bool Transport::remove_peer(NodeId id) {
   if (!evict_peer(id)) return false;
+  {
+    std::scoped_lock lock(partition_mu_);
+    evicted_.insert(id);
+  }
   // A departed node's named objects fail typed (kObjectNotFound) instead of
   // timing out against a dead address.
   directory().remove_node(id);
   notify_membership(id, false);
   return true;
+}
+
+void Transport::cut(NodeId a, NodeId b) {
+  apply_cut(a, b, true);  // may refuse the pair
+  std::scoped_lock lock(partition_mu_);
+  cuts_.insert(pair_of(a, b));
+}
+
+void Transport::mend(NodeId a, NodeId b) {
+  apply_cut(a, b, false);
+  std::scoped_lock lock(partition_mu_);
+  cuts_.erase(pair_of(a, b));
+}
+
+bool Transport::cut_between(NodeId a, NodeId b) const {
+  std::scoped_lock lock(partition_mu_);
+  return cuts_.contains(pair_of(a, b));
+}
+
+bool Transport::is_partitioned(NodeId a, NodeId b) const {
+  {
+    std::scoped_lock lock(partition_mu_);
+    // An evicted peer is unreachable from everywhere: the permanent cut.
+    if (cuts_.contains(pair_of(a, b)) || evicted_.contains(a) ||
+        evicted_.contains(b)) {
+      return true;
+    }
+  }
+  return link_down(a, b);  // outside the leaf lock: backends take their own
 }
 
 std::uint64_t Transport::add_membership_listener(MembershipListener listener) {

@@ -32,6 +32,8 @@
 //   * Each directed link reports whether it is busy, and tells the sending
 //     node when a busy link goes idle — the clock a batcher coalesces by
 //     (batch.h). Socket: a write in flight or queued; sim: not delivered.
+//   * One partition lever, cut(a, b) / mend(a, b), and one is_partitioned
+//     answer for both backends; each backend applies a cut to its links.
 // DESIGN.md §4.10 tabulates the full sim-vs-socket contract.
 #pragma once
 
@@ -40,6 +42,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <unordered_map>
 
@@ -61,8 +64,8 @@ struct TransportStats {
   std::uint64_t frames_delivered = 0;  ///< handed to a handler
   std::uint64_t bytes_delivered = 0;
   std::uint64_t frames_dropped = 0;    ///< dst unknown or no handler
-  std::uint64_t frames_lost = 0;       ///< injected loss / partition (sim),
-                                       ///< dead or unreachable link (sockets)
+  std::uint64_t frames_lost = 0;       ///< injected loss, cut, eviction (sim);
+                                       ///< dead link, budget overflow (sockets)
   // Socket-only resilience counters (always zero on the sim — it has no
   // wire, no handshake and no reconnect; see DESIGN.md §4.11):
   std::uint64_t handshake_rejected = 0;    ///< inbound connections refused
@@ -112,14 +115,16 @@ class Transport {
     return const_cast<Transport*>(this)->directory();
   }
 
-  /// True while a↔b is known unreachable: an active sim partition, or a
-  /// socket peer whose connection is dead/in backoff. The RPC layer uses it
-  /// to type a delivery failure as "partitioned" rather than plain timeout.
-  virtual bool is_partitioned(NodeId a, NodeId b) const {
-    (void)a;
-    (void)b;
-    return false;
-  }
+  /// Cuts a↔b both ways until mend(a, b): the sim loses every frame posted
+  /// across it; a socket parks its own within the retransmit budget for
+  /// replay on mend. Raises kNetwork if the backend cannot cut the pair.
+  void cut(NodeId a, NodeId b);
+  void mend(NodeId a, NodeId b);
+
+  /// True while a↔b is cut, either end is evicted (remove_peer, until
+  /// add_peer re-admits it), or the backend reports the link down. The RPC
+  /// layer types a delivery failure "partitioned" rather than timeout by it.
+  bool is_partitioned(NodeId a, NodeId b) const;
 
   // ---- link state for self-clocked batching (batch.h) ----
 
@@ -196,11 +201,28 @@ class Transport {
   /// whether the peer was present.
   virtual bool evict_peer(NodeId id) = 0;
 
+  /// Backend half of cut / mend: applies (`severed`) or lifts a cut on
+  /// the backend's own links, before the base records it; may raise.
+  virtual void apply_cut(NodeId a, NodeId b, bool severed) = 0;
+  /// The backend's own reason a↔b is down (sim: an active scheduled
+  /// partition; socket: connect backoff).
+  virtual bool link_down(NodeId a, NodeId b) const = 0;
+  /// True while a↔b is cut; a leaf lock, safe under backend locks.
+  bool cut_between(NodeId a, NodeId b) const;
+
   /// Backends call this after link src → dst turned from busy to idle,
   /// holding no locks.
   void notify_idle(NodeId src, NodeId dst);
 
  private:
+  static std::pair<NodeId, NodeId> pair_of(NodeId a, NodeId b) {
+    return a < b ? std::pair{a, b} : std::pair{b, a};
+  }
+  /// Cut pairs (order-free) and evicted peers, under a leaf lock.
+  mutable std::mutex partition_mu_;
+  std::set<std::pair<NodeId, NodeId>> cuts_;
+  std::set<NodeId> evicted_;
+
   /// Calls every membership listener, holding no locks.
   void notify_membership(NodeId peer, bool added);
 

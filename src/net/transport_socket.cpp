@@ -268,6 +268,8 @@ bool SocketTransport::add_link(NodeId id, const std::string& name,
   auto link = std::make_shared<PeerLink>();
   link->id = id;
   link->address = address;
+  // A peer re-admitted while its pair is cut rejoins behind the cut.
+  link->severed = cut_between(options_.local_node, id);
   peer_names_[id] = name;
   links_.emplace(id, std::move(link));
   return true;
@@ -310,20 +312,19 @@ bool SocketTransport::evict_peer(NodeId id) {
     link->queue_bytes = 0;
   }
   count_lost(frames, bytes);
-  // Inbound side: shut down streams the evicted peer has open. Their reader
-  // threads exit on the dead fd; ~SocketTransport joins them.
-  std::vector<std::shared_ptr<Inbound>> to_close;
-  {
-    std::scoped_lock lock(mu_);
-    for (const auto& conn : inbound_) {
-      if (conn->authed.load(std::memory_order_acquire) &&
-          conn->peer.load(std::memory_order_relaxed) == id && conn->fd >= 0) {
-        to_close.push_back(conn);
-      }
+  shutdown_inbound_from(id);
+  return true;
+}
+
+void SocketTransport::shutdown_inbound_from(NodeId peer) {
+  // The reader threads exit on the dead fd; ~SocketTransport joins them.
+  std::scoped_lock lock(mu_);
+  for (const auto& conn : inbound_) {
+    if (conn->authed.load(std::memory_order_acquire) &&
+        conn->peer.load(std::memory_order_relaxed) == peer && conn->fd >= 0) {
+      ::shutdown(conn->fd, SHUT_RDWR);
     }
   }
-  for (auto& conn : to_close) ::shutdown(conn->fd, SHUT_RDWR);
-  return true;
 }
 
 // ---- send path -------------------------------------------------------------
@@ -634,7 +635,7 @@ void SocketTransport::sender_loop(const std::stop_token& st, PeerLink* link) {
         drain_as_lost();
         return;
       }
-      // The cut parks the queue (budget-bounded): restore() replays it in
+      // The cut parks the queue (budget-bounded): mend() replays it in
       // order, so a deliberate partition heals without re-posting.
       park_and_trim_locked(*link);
       link->cv.wait(lock, [&] {
@@ -930,36 +931,28 @@ void SocketTransport::count_lost(std::size_t frames, std::size_t bytes) {
 
 // ---- partition / lifecycle hooks -------------------------------------------
 
-void SocketTransport::sever(NodeId peer) {
+void SocketTransport::apply_cut(NodeId a, NodeId b, bool severed) {
+  if (a != options_.local_node && b != options_.local_node) {
+    raise(ErrorCode::kNetwork,
+          "cut " + std::to_string(a) + "<->" + std::to_string(b) +
+              ": a socket transport cuts only its own node's links");
+  }
+  const NodeId peer = a == options_.local_node ? b : a;
   if (auto link = find_link(peer)) {
     std::scoped_lock lock(link->mu);
-    link->severed = true;
-    if (!link->queue.empty()) link->replaying = true;
-    drop_connection_locked(*link);
+    link->severed = severed;
+    if (severed) {
+      if (!link->queue.empty()) link->replaying = true;
+      drop_connection_locked(*link);
+    } else {
+      // Mended: reconnect at once, whatever backoff was armed.
+      link->unreachable = false;
+      link->backoff = std::chrono::milliseconds(0);
+      link->next_attempt = std::chrono::steady_clock::now();
+    }
     link->cv.notify_all();
   }
-  // Inbound side of the cut: close streams the peer already has open.
-  std::vector<std::shared_ptr<Inbound>> to_close;
-  {
-    std::scoped_lock lock(mu_);
-    for (const auto& conn : inbound_) {
-      if (conn->peer.load(std::memory_order_relaxed) == peer && conn->fd >= 0) {
-        to_close.push_back(conn);
-      }
-    }
-  }
-  for (auto& conn : to_close) ::shutdown(conn->fd, SHUT_RDWR);
-}
-
-void SocketTransport::restore(NodeId peer) {
-  auto link = find_link(peer);
-  if (!link) return;
-  std::scoped_lock lock(link->mu);
-  link->severed = false;
-  link->unreachable = false;
-  link->backoff = std::chrono::milliseconds(0);
-  link->next_attempt = std::chrono::steady_clock::now();
-  link->cv.notify_all();
+  if (severed) shutdown_inbound_from(peer);
 }
 
 void SocketTransport::disconnect(NodeId peer) {
@@ -970,12 +963,11 @@ void SocketTransport::disconnect(NodeId peer) {
   link->cv.notify_all();
 }
 
-bool SocketTransport::is_partitioned(NodeId a, NodeId b) const {
-  const NodeId peer = a == options_.local_node ? b : a;
-  auto link = find_link(peer);
+bool SocketTransport::link_down(NodeId a, NodeId b) const {
+  auto link = find_link(a == options_.local_node ? b : a);
   if (!link) return false;
   std::scoped_lock lock(link->mu);
-  return link->severed || link->unreachable;
+  return link->unreachable;
 }
 
 // ---- introspection ---------------------------------------------------------
@@ -1011,7 +1003,7 @@ void SocketTransport::wait_quiescent() const {
     std::unique_lock lock(link->mu);
     ++link->quiescent_waiters;
     link->cv.wait(lock, [&] {
-      // Parked frames (sever / backoff) count as quiescent: nothing is
+      // Parked frames (cut / backoff) count as quiescent: nothing is
       // moving until the peer comes back.
       return (link->queue.empty() && !link->sending) || link->severed ||
              link->unreachable || link->removed;

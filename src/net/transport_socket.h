@@ -36,10 +36,10 @@
 //     blip no longer needs the RPC layer's full backoff round-trip. Frames
 //     past the budget are counted lost and dropped, per the datagram
 //     contract the RPC retry layer already converges under.
-//   * sever()/restore() are the real-transport analog of a sim partition:
-//     sever tears the connection down and holds (budget-bounded) outbound
-//     frames until restore replays them; is_partitioned() reports the cut
-//     so RPC failures are typed kPartitioned. ~SocketTransport tears down
+//   * cut(a, b) / mend(a, b) (transport.h) partition a link with a local
+//     end: the cut tears the connection down, loses what the peer still
+//     sends, and holds (budget-bounded) outbound frames until mend replays
+//     them — unlike the sim, which loses them. ~SocketTransport tears down
 //     every connection after a best-effort drain of queued frames.
 //   * A reconnecting peer's new stream delivers only after its previous
 //     stream has drained — and any older stream still in its handshake,
@@ -162,10 +162,6 @@ class SocketTransport final : public Transport {
   TransportStats transport_stats() const override;
   Directory& directory() override { return directory_; }
 
-  /// True while `sever` is in force for the peer, or its connection is down
-  /// and in reconnect backoff after a failure.
-  bool is_partitioned(NodeId a, NodeId b) const override;
-
   std::size_t node_count() const override;
   std::string node_name(NodeId id) const override;
 
@@ -178,15 +174,6 @@ class SocketTransport final : public Transport {
   /// flight. Send-side only: bytes in kernel buffers or the peer process
   /// are beyond this transport's knowledge (DESIGN.md §4.10).
   void wait_quiescent() const override;
-
-  /// Real-transport partition: closes the connection to `peer` and fails
-  /// every receive for that peer until restore(). Outbound frames posted
-  /// during the cut are held up to the retransmit budget and replay in
-  /// order on restore; past-budget frames are counted lost. The RPC layer
-  /// sees is_partitioned() and types failures kPartitioned, exactly as
-  /// under a sim cut.
-  void sever(NodeId peer);
-  void restore(NodeId peer);
 
   /// Closes the outbound connection to `peer` (it reconnects on demand on
   /// the next post). Unhost/teardown hook and a reconnect test handle.
@@ -204,6 +191,12 @@ class SocketTransport final : public Transport {
   bool admit_peer(NodeId id, const std::string& name,
                   const std::string& address) override;
   bool evict_peer(NodeId id) override;
+
+  /// Sets the peer link's `severed` flag and, on a cut, drops both its
+  /// connections. Raises kNetwork unless one end is the local node.
+  void apply_cut(NodeId a, NodeId b, bool severed) override;
+  /// True while the peer's last connect round failed (in backoff).
+  bool link_down(NodeId a, NodeId b) const override;
 
  private:
   /// Outbound link to one peer: lazily-started sender thread, its queue,
@@ -245,7 +238,7 @@ class SocketTransport final : public Transport {
   /// One accepted inbound connection and its reader thread.
   struct Inbound {
     int fd = -1;
-    /// NodeId the HELLO claimed; 0 until `authed`. Atomics because sever /
+    /// NodeId the HELLO claimed; 0 until `authed`. Atomics because a cut /
     /// remove_peer scan these from other threads while the reader runs.
     std::atomic<NodeId> peer{0};
     std::atomic<bool> authed{false};
@@ -308,6 +301,8 @@ class SocketTransport final : public Transport {
   /// shuts the connection down.
   void reject_inbound(Inbound& conn, const std::string& why);
   void poison_inbound(Inbound& conn, const std::string& why);
+  /// Shuts down every authed inbound stream from `peer` (a cut, an eviction).
+  void shutdown_inbound_from(NodeId peer);
   void deliver(NodeId src, Buffer payload);
   void enqueue(NodeId dst, FrameBuilder frame);
   void count_lost(std::size_t frames, std::size_t bytes);

@@ -1,8 +1,7 @@
 // Blocking MPMC queues and the lock-free call-intake queue.
 //
-// BlockingQueue<T> is the per-slot run queue of the SlotBound process model;
-// BoundedBlockingQueue<T> backs flow-controlled benchmark harnesses. Both
-// support close(): after close, producers fail and consumers drain the
+// BlockingQueue<T> is the per-slot run queue of the SlotBound process model.
+// It supports close(): after close, producers fail and consumers drain the
 // residue then observe emptiness, which gives clean shutdown without
 // sentinels. MpscIntakeQueue<T> is the wait-free producer side of the
 // kernel's batched call intake (see core/object.h).
@@ -156,71 +155,6 @@ class BlockingQueue {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::deque<T> items_;
-  bool closed_ = false;
-};
-
-template <class T>
-class BoundedBlockingQueue {
- public:
-  explicit BoundedBlockingQueue(std::size_t capacity) : capacity_(capacity) {}
-
-  /// Blocks while full. Returns false if the queue was closed.
-  bool push(T item) {
-    {
-      std::unique_lock lock(mu_);
-      not_full_.wait(lock, [&] { return items_.size() < capacity_ || closed_; });
-      if (closed_) return false;
-      items_.push_back(std::move(item));
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
-  bool try_push(T item) {
-    {
-      std::scoped_lock lock(mu_);
-      if (closed_ || items_.size() >= capacity_) return false;
-      items_.push_back(std::move(item));
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
-  std::optional<T> pop() {
-    std::optional<T> item;
-    {
-      std::unique_lock lock(mu_);
-      not_empty_.wait(lock, [&] { return !items_.empty() || closed_; });
-      if (items_.empty()) return std::nullopt;
-      item = std::move(items_.front());
-      items_.pop_front();
-    }
-    not_full_.notify_one();
-    return item;
-  }
-
-  void close() {
-    {
-      std::scoped_lock lock(mu_);
-      closed_ = true;
-    }
-    not_empty_.notify_all();
-    not_full_.notify_all();
-  }
-
-  std::size_t capacity() const { return capacity_; }
-
-  std::size_t size() const {
-    std::scoped_lock lock(mu_);
-    return items_.size();
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::condition_variable not_empty_;
-  std::condition_variable not_full_;
-  std::deque<T> items_;
-  const std::size_t capacity_;
   bool closed_ = false;
 };
 

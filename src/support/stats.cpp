@@ -126,21 +126,6 @@ NetHealthStats& net_health() {
   return stats;
 }
 
-std::string format_rate(double ops_per_sec) {
-  char num[64];
-  std::snprintf(num, sizeof num, "%.0f", ops_per_sec);
-  std::string digits = num;
-  std::string grouped;
-  int cnt = 0;
-  for (auto it = digits.rbegin(); it != digits.rend(); ++it) {
-    if (cnt != 0 && cnt % 3 == 0) grouped.push_back(',');
-    grouped.push_back(*it);
-    ++cnt;
-  }
-  std::reverse(grouped.begin(), grouped.end());
-  return grouped + " ops/s";
-}
-
 std::string format_ns(double ns) {
   char buf[64];
   if (ns < 1000.0) {

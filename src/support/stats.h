@@ -145,9 +145,6 @@ struct NetHealthStats {
 /// The process-wide instance.
 NetHealthStats& net_health();
 
-/// Formats n as ops/s with thousands grouping, e.g. "1,234,567 ops/s".
-std::string format_rate(double ops_per_sec);
-
 /// Formats nanoseconds human-readably ("742ns", "12.3us", "4.5ms", "1.2s").
 std::string format_ns(double ns);
 

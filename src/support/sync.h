@@ -209,38 +209,6 @@ class Event {
   bool set_ = false;
 };
 
-/// An auto-reset event: set() wakes exactly one past-or-future wait().
-/// Used for slot-bound worker parking in the SlotBound process model.
-class AutoResetEvent {
- public:
-  void set() {
-    {
-      std::scoped_lock lock(mu_);
-      signaled_ = true;
-    }
-    cv_.notify_one();
-  }
-
-  void wait() {
-    std::unique_lock lock(mu_);
-    cv_.wait(lock, [&] { return signaled_; });
-    signaled_ = false;
-  }
-
-  template <class Rep, class Period>
-  bool wait_for(std::chrono::duration<Rep, Period> timeout) {
-    std::unique_lock lock(mu_);
-    if (!cv_.wait_for(lock, timeout, [&] { return signaled_; })) return false;
-    signaled_ = false;
-    return true;
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool signaled_ = false;
-};
-
 /// A one-shot start/finish barrier for benchmarks: threads park in wait()
 /// until arm() releases them all at once, so measured intervals do not
 /// include thread start-up skew.

@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <thread>
 
 namespace alps::support {
 
@@ -29,10 +28,6 @@ bool try_boost_priority() {
     return true;
   }
   return false;
-}
-
-unsigned hardware_threads() {
-  return std::max(1u, std::thread::hardware_concurrency());
 }
 
 }  // namespace alps::support

@@ -17,7 +17,4 @@ void set_current_thread_name(const std::string& name);
 /// priority. Returns true if any boost was applied.
 bool try_boost_priority();
 
-/// Number of hardware threads (>= 1).
-unsigned hardware_threads();
-
 }  // namespace alps::support

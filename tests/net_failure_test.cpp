@@ -1,5 +1,5 @@
 // Failure-injection tests: frame loss, partitions, RPC deadlines and
-// recovery after heal(). The ALPS kernel itself never sees the failures —
+// recovery after mend(). The ALPS kernel itself never sees the failures —
 // the RPC layer surfaces them as typed RpcErrors, which is how the paper's
 // distributed runtime would behave on a flaky transputer link.
 #include <gtest/gtest.h>
@@ -38,7 +38,7 @@ struct Rig {
 TEST(NetFailure, PartitionSurfacesTypedPartitionError) {
   Rig rig;
   EXPECT_EQ(rig.remote.call("Echo", vals(1), {}).value()[0].as_int(), 1);
-  rig.net.partition(rig.client.id(), rig.server.id());
+  rig.net.cut(rig.client.id(), rig.server.id());
   auto r = rig.remote.call("Echo", vals(2),
                            rig.deadline(std::chrono::milliseconds(50)));
   ASSERT_FALSE(r.ok());
@@ -50,12 +50,12 @@ TEST(NetFailure, PartitionSurfacesTypedPartitionError) {
 
 TEST(NetFailure, HealRestoresService) {
   Rig rig;
-  rig.net.partition(rig.client.id(), rig.server.id());
+  rig.net.cut(rig.client.id(), rig.server.id());
   EXPECT_FALSE(rig.remote
                    .call("Echo", vals(1),
                          rig.deadline(std::chrono::milliseconds(30)))
                    .ok());
-  rig.net.heal();
+  rig.net.mend(rig.client.id(), rig.server.id());
   auto r = rig.remote.call("Echo", vals(7),
                            rig.deadline(std::chrono::milliseconds(500)));
   ASSERT_TRUE(r.ok());
@@ -192,7 +192,7 @@ TEST(NetFailure, BoundedRetriesSurfaceTimeoutWithAttemptCount) {
 
 TEST(NetFailure, DeadlineCapsUnlimitedRetries) {
   Rig rig;
-  rig.net.partition(rig.client.id(), rig.server.id());
+  rig.net.cut(rig.client.id(), rig.server.id());
   CallOptions opts;
   opts.retry = RetryPolicy{};  // unlimited attempts
   opts.deadline = std::chrono::milliseconds(80);
@@ -217,7 +217,7 @@ TEST(NetFailure, PartitionIsPairwise) {
   svc.start();
   server.host(svc);
 
-  net.partition(client.id(), server.id());
+  net.cut(client.id(), server.id());
   auto from_client = client.remote(server.id(), "Svc");
   auto from_other = other.remote(server.id(), "Svc");
   CallOptions short_deadline;

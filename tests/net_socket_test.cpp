@@ -13,7 +13,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -21,6 +20,7 @@
 
 #include "core/alps.h"
 #include "net/net.h"
+#include "socket_test_util.h"
 #include "support/stats.h"
 #include "support/sync.h"
 
@@ -28,40 +28,6 @@ namespace alps::net {
 namespace {
 
 using namespace std::chrono_literals;
-
-/// Short per-test unix socket paths (sun_path is ~100 bytes; the default
-/// temp dir keeps us well under).
-class SocketPaths {
- public:
-  explicit SocketPaths(const std::string& tag) {
-    base_ = std::filesystem::temp_directory_path() /
-            ("alps-" + tag + "-" + std::to_string(::getpid()));
-    std::filesystem::create_directories(base_);
-  }
-  ~SocketPaths() { std::filesystem::remove_all(base_); }
-
-  std::string node(NodeId id) const {
-    return (base_ / (std::to_string(id) + ".sock")).string();
-  }
-
- private:
-  std::filesystem::path base_;
-};
-
-/// A fully-meshed unix-socket cluster config for `ids`, from `self`'s view.
-SocketTransportOptions uds_options(const SocketPaths& paths, NodeId self,
-                                   const std::vector<NodeId>& ids) {
-  SocketTransportOptions opts;
-  opts.local_node = self;
-  opts.local_name = "n" + std::to_string(self);
-  opts.listen = SocketAddress::unix_path(paths.node(self));
-  for (NodeId id : ids) {
-    if (id == self) continue;
-    opts.peers.push_back(SocketPeer{id, "n" + std::to_string(id),
-                                    SocketAddress::unix_path(paths.node(id))});
-  }
-  return opts;
-}
 
 TEST(SocketTransport, DeliversRawFramesOverUnixSocket) {
   SocketPaths paths("raw");
@@ -226,7 +192,7 @@ TEST(SocketRpc, SeverFailsTypedAndRestoreHeals) {
   opts.retry = RetryPolicy{};
   ASSERT_TRUE(rig.client.call("Echo", "Double", vals(1), opts).ok());
 
-  rig.client_t.sever(2);
+  rig.client_t.cut(1, 2);
   EXPECT_TRUE(rig.client_t.is_partitioned(1, 2));
   CallOptions bounded = opts;
   bounded.deadline = 300ms;
@@ -234,7 +200,7 @@ TEST(SocketRpc, SeverFailsTypedAndRestoreHeals) {
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error().cause(), RpcCause::kPartitioned);
 
-  rig.client_t.restore(2);
+  rig.client_t.mend(1, 2);
   EXPECT_FALSE(rig.client_t.is_partitioned(1, 2));
   auto healed = rig.client.call("Echo", "Double", vals(3), opts);
   ASSERT_TRUE(healed.ok()) << healed.error().what();
@@ -290,14 +256,14 @@ TEST(SocketRpc, BatchedCallsCoalesceOverTheWire) {
   // Batching coalesces only behind a busy link, and one posting thread
   // finishes each write before its next post, so the burst goes out behind
   // a cut: the frames park in the transport's queue, keeping the link busy
-  // until restore() replays them.
-  rig.client_t.sever(2);
+  // until mend() replays them.
+  rig.client_t.cut(1, 2);
   for (int i = 0; i < 32; ++i) {
     handles.push_back(
         rig.client.async_call("Echo", "Double", vals(i), opts));
   }
   rig.client.flush_batches();
-  rig.client_t.restore(2);
+  rig.client_t.mend(1, 2);
   for (int i = 0; i < 32; ++i) {
     auto r = handles[i].result();
     ASSERT_TRUE(r.ok()) << r.error().what();
@@ -426,7 +392,7 @@ TEST(SocketTransport, SeverQueuesUnderBudgetAndRestoreReplaysInOrder) {
   ta.post(1, 2, FrameBuilder::from_bytes({0}));
   ASSERT_TRUE(sink.reached.wait_for(30s));
 
-  ta.sever(2);
+  ta.cut(1, 2);
   EXPECT_TRUE(ta.is_partitioned(1, 2));
   for (std::uint8_t i = 1; i <= 4; ++i) {
     ta.post(1, 2, FrameBuilder::from_bytes({i}));
@@ -439,7 +405,7 @@ TEST(SocketTransport, SeverQueuesUnderBudgetAndRestoreReplaysInOrder) {
 
   sink.reached.reset();
   sink.want = 5;
-  ta.restore(2);
+  ta.mend(1, 2);
   ASSERT_TRUE(sink.reached.wait_for(30s));
   std::scoped_lock lock(sink.mu);
   ASSERT_EQ(sink.got.size(), 5u);
@@ -450,6 +416,39 @@ TEST(SocketTransport, SeverQueuesUnderBudgetAndRestoreReplaysInOrder) {
   const auto stats = ta.transport_stats();
   EXPECT_EQ(stats.frames_lost, 0u);
   EXPECT_GE(stats.frames_requeued, 4u);
+}
+
+TEST(SocketTransport, CutNeedsALocalEnd) {
+  SocketPaths paths("cutlocal");
+  SocketTransport ta(uds_options(paths, 1, {1, 2, 3}));
+  EXPECT_THROW(ta.cut(2, 3), Error);
+  EXPECT_FALSE(ta.is_partitioned(2, 3)) << "a refused cut is not recorded";
+}
+
+TEST(SocketTransport, CutOutlivesEvictionAndReadmission) {
+  SocketPaths paths("cutreadmit");
+  SocketTransport ta(uds_options(paths, 1, {1, 2}));
+  SocketTransport tb(uds_options(paths, 2, {1, 2}));
+  ta.add_node("a");
+  tb.add_node("b");
+  FrameSink sink;
+  sink.want = 1;
+  tb.set_handler(2, sink.handler());
+
+  // The peer leaves and rejoins while its pair is cut: the new link starts
+  // behind the cut, so its frames park until mend.
+  ta.cut(1, 2);
+  ASSERT_TRUE(ta.remove_peer(2));
+  ta.add_peer(2, "b", "unix:" + paths.node(2));
+  EXPECT_TRUE(ta.is_partitioned(1, 2));
+  ta.post(1, 2, FrameBuilder::from_bytes({7}));
+  ta.wait_quiescent();  // parked frames count as quiescent during the cut
+  EXPECT_FALSE(sink.reached.wait_for(50ms)) << "nothing crosses the cut";
+
+  ta.mend(1, 2);
+  ASSERT_TRUE(sink.reached.wait_for(30s));
+  std::scoped_lock lock(sink.mu);
+  EXPECT_EQ(sink.got, (std::vector<std::vector<std::uint8_t>>{{7}}));
 }
 
 TEST(SocketTransport, RemovePeerRacesInFlightDeliveryAndRejectsReconnect) {
@@ -690,7 +689,7 @@ TEST(SocketTransport, RemovePeerDemotesMultiHomeDirectoryEntries) {
 
 TEST(SocketTransport, FrameAccountingConservesAcrossBudgetSeverAndEviction) {
   // Satellite regression: every posted frame is accounted exactly once —
-  // delivered, lost (budget trim / sever teardown / eviction drain), or
+  // delivered, lost (budget trim / cut teardown / eviction drain), or
   // dropped (no such destination). A double-count in any of the parked
   // paths breaks this equality.
   SocketPaths paths("conserve");
@@ -710,7 +709,7 @@ TEST(SocketTransport, FrameAccountingConservesAcrossBudgetSeverAndEviction) {
 
   // Sever, then overflow the retransmit budget: 3 of the 6 park, 3 are
   // tail-dropped by the trim and must be counted lost exactly once.
-  ta.sever(2);
+  ta.cut(1, 2);
   for (std::uint8_t i = 1; i <= 6; ++i) {
     ta.post(1, 2, FrameBuilder::from_bytes({i}));
   }
@@ -720,7 +719,7 @@ TEST(SocketTransport, FrameAccountingConservesAcrossBudgetSeverAndEviction) {
 
   sink.reached.reset();
   sink.want = 4;
-  ta.restore(2);
+  ta.mend(1, 2);
   ASSERT_TRUE(sink.reached.wait_for(30s));
   ta.wait_quiescent();
   tb.wait_quiescent();
@@ -735,7 +734,7 @@ TEST(SocketTransport, FrameAccountingConservesAcrossBudgetSeverAndEviction) {
 
   // Park two more behind a fresh cut, then evict the peer: the teardown
   // drain owns those two frames (and only those two).
-  ta.sever(2);
+  ta.cut(1, 2);
   ta.post(1, 2, FrameBuilder::from_bytes({7}));
   ta.post(1, 2, FrameBuilder::from_bytes({8}));
   ta.remove_peer(2);
@@ -1036,7 +1035,7 @@ TEST(Teardown, RemovingTheIdleHandlerWaitsForARunningCall) {
 
 TEST(SocketTransport, ConcurrentPostersKeepFifoAcrossBothWritePaths) {
   // Four posters race the posting-thread write against the sender-thread
-  // queue while sever/restore and disconnect churn the connection. Each
+  // queue while cut/mend and disconnect churn the connection. Each
   // poster's frames must arrive in its own order (gaps only where a frame
   // was counted lost), and every frame is accounted exactly once.
   SocketPaths paths("fifo");
@@ -1078,9 +1077,9 @@ TEST(SocketTransport, ConcurrentPostersKeepFifoAcrossBothWritePaths) {
     for (int round = 0; round < kChurnRounds; ++round) {
       std::this_thread::sleep_for(200us);
       if (round % 2 == 0) {
-        ta.sever(2);
+        ta.cut(1, 2);
         std::this_thread::sleep_for(100us);
-        ta.restore(2);
+        ta.mend(1, 2);
       } else {
         ta.disconnect(2);
       }
@@ -1089,7 +1088,7 @@ TEST(SocketTransport, ConcurrentPostersKeepFifoAcrossBothWritePaths) {
   });
   for (auto& p : posters) p.join();
   churn.join();
-  ta.restore(2);
+  ta.mend(1, 2);
   ta.wait_quiescent();
 
   // wait_quiescent treats a link in backoff as parked, so poll until every

@@ -71,14 +71,6 @@ TEST(Event, WaitForTimesOut) {
   EXPECT_TRUE(e.wait_for(std::chrono::milliseconds(5)));
 }
 
-TEST(AutoResetEvent, WakesExactlyOneWaiterPerSet) {
-  AutoResetEvent e;
-  e.set();
-  EXPECT_TRUE(e.wait_for(std::chrono::milliseconds(5)));
-  // Consumed: a second wait times out.
-  EXPECT_FALSE(e.wait_for(std::chrono::milliseconds(5)));
-}
-
 // ---- BlockingQueue ----
 
 TEST(BlockingQueue, PushPopFifo) {
@@ -138,15 +130,6 @@ TEST(BlockingQueue, MpmcDeliversEverythingOnce) {
   }
   EXPECT_EQ(count.load(), kN);
   EXPECT_EQ(sum.load(), static_cast<long long>(kN) * (kN - 1) / 2);
-}
-
-TEST(BoundedBlockingQueue, BlocksProducerWhenFull) {
-  BoundedBlockingQueue<int> q(2);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_FALSE(q.try_push(3));
-  EXPECT_EQ(q.pop().value(), 1);
-  EXPECT_TRUE(q.try_push(3));
 }
 
 // ---- RNG ----
@@ -362,7 +345,6 @@ TEST(Format, HumanReadable) {
   EXPECT_EQ(format_ns(1500), "1.5us");
   EXPECT_EQ(format_ns(2.5e6), "2.50ms");
   EXPECT_EQ(format_ns(1.25e9), "1.25s");
-  EXPECT_EQ(format_rate(1234567), "1,234,567 ops/s");
 }
 
 }  // namespace
