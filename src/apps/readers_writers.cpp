@@ -23,7 +23,13 @@ ReadersWritersDb::ReadersWritersDb(Options options)
   }
 
   // --- implementation part: Read is a hidden array Read[1..ReadMax] ---
-  obj_.implement(read_, ImplDecl{.array = options_.read_max},
+  // A multiactive Read with no service time is one hash lookup: a caller
+  // that admits it runs it on its own thread (DESIGN.md §4.8). The serial
+  // protocol's start stays asynchronous.
+  obj_.implement(read_,
+                 ImplDecl{.array = options_.read_max,
+                          .inline_start = options_.multiactive &&
+                                          options_.read_time.count() == 0},
                  [this](BodyCtx& ctx) -> ValueList {
                    const int now = ++readers_active_;
                    int prev = max_readers_.load();
@@ -58,8 +64,12 @@ ReadersWritersDb::ReadersWritersDb(Options options)
     // only when the call is compatible with every in-flight group AND no
     // older incompatible call is waiting (arrival-order fairness), and
     // ReadMax is still enforced by the hidden array's slot count. Bodies
-    // complete their callers directly — no await/finish turns.
+    // complete their callers directly — no await/finish turns. The read
+    // arm only starts reads, so reads are admitted on arrival: a read that
+    // finds the gate open starts in its caller's async_call, and the arm
+    // serves the reads that arrived while it was closed.
     obj_.set_manager({intercept(read_), intercept(write_)}, [this](Manager& m) {
+      m.start_compatible_on_arrival(read_);
       Select()
           .on(accept_guard(read_).compatible().then([&](Accepted a) {
             m.start_compatible(a);

@@ -134,9 +134,12 @@ class CallState {
   void wait() const {
     std::unique_lock lock(mu_);
     if (done_) return;  // a pending handoff belongs to a parked waiter
-    // parked_ is only written under mu_; the atomic serves waiters().
+    // parked_ is only written under mu_; the atomic serves waiters(). The
+    // object's count rises first, so a reader that sees this waiter there
+    // sees it in the object's count too.
+    if (parked_in_) parked_in_->fetch_add(1, std::memory_order_relaxed);
     parked_.store(parked_.load(std::memory_order_relaxed) + 1,
-                  std::memory_order_relaxed);
+                  std::memory_order_release);
     for (;;) {
       cv_.wait(lock, [&] { return done_ || handoff_; });
       if (!handoff_) break;
@@ -149,6 +152,7 @@ class CallState {
     }
     parked_.store(parked_.load(std::memory_order_relaxed) - 1,
                   std::memory_order_relaxed);
+    if (parked_in_) parked_in_->fetch_sub(1, std::memory_order_release);
   }
 
   /// Plain timed wait; returns false on timeout without completing the call.
@@ -201,7 +205,14 @@ class CallState {
   /// reads it to skip hand_to_waiter for a call nobody waits on, and tests
   /// poll it to park a caller before its body launches.
   std::size_t waiters() const {
-    return parked_.load(std::memory_order_relaxed);
+    return parked_.load(std::memory_order_acquire);
+  }
+
+  /// Kernel-internal, before the call is published: wait() also counts its
+  /// parked callers in `counter`, the object's count of parked callers
+  /// (Object::parked_callers_), which must outlive every such wait.
+  void count_parked_in(std::atomic<std::size_t>* counter) {
+    parked_in_ = counter;
   }
 
   /// Kernel-internal (caller-runs dispatch, DESIGN.md §4.8): if a caller is
@@ -249,9 +260,10 @@ class CallState {
   bool done_ = false;
   /// Untimed waiters (written under mu_) and the body handed to one of them
   /// (see wait()). After done_, so the members the completion path touches
-  /// keep their offsets.
-  mutable std::atomic<std::size_t> parked_{0};
+  /// keep their offsets; 32 bits, so parked_in_ adds no size.
+  mutable std::atomic<std::uint32_t> parked_{0};
   mutable std::function<void()> handoff_;
+  std::atomic<std::size_t>* parked_in_ = nullptr;
 };
 
 /// The caller's side of an invocation (a lightweight shared future).

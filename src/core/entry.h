@@ -67,11 +67,13 @@ struct ImplDecl {
   std::size_t array = 1;
   std::size_t hidden_params = 0;
   std::size_t hidden_results = 0;
-  /// The body is short and never waits on its own object, so Manager::start
-  /// and start_with may run it on the manager thread, as execute does, and
-  /// save the two thread handoffs of a pooled start (DESIGN.md §4.13). Off:
-  /// the paper's asynchronous start. start_compatible and
-  /// start_compatible_pending ignore it.
+  /// The body is short and never waits on its own object. Manager::start
+  /// and start_with then run it on the manager thread, as execute does, and
+  /// save the two thread handoffs of a pooled start (DESIGN.md §4.13). A
+  /// call that its caller admits under the manager's standing order
+  /// (Manager::start_compatible_on_arrival) runs it on the calling thread,
+  /// before async_call returns (§4.8). Off: the paper's asynchronous start.
+  /// start_compatible and start_compatible_pending ignore it.
   bool inline_start = false;
 };
 

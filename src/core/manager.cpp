@@ -312,6 +312,19 @@ std::size_t Manager::start_compatible_pending(EntryRef entry) {
   return n;
 }
 
+void Manager::start_compatible_on_arrival(EntryRef entry) {
+  // Checked under the kernel lock: a thread that stop() or an escalation
+  // retires (and so withdraws its orders) cannot record one afterwards.
+  std::scoped_lock lock(obj_->mu_);
+  assert_manager_thread("start_compatible_on_arrival");
+  Object::EntryCore& e =
+      obj_->core_checked(entry, "start_compatible_on_arrival");
+  // A compat participant is intercepted (checked at start()).
+  check_compat_path(entry.index(), "start_compatible_on_arrival");
+  check_stop();
+  e.admit_on_arrival.store(true, std::memory_order_relaxed);
+}
+
 Awaited Manager::await(EntryRef entry) {
   assert_manager_thread("await");
   obj_->core_checked(entry, "await");

@@ -90,9 +90,9 @@ class Manager {
   /// conflicting group drains. Either way the kernel completes the caller
   /// directly when the body returns — do NOT await/finish such a call. The
   /// entry must carry compatibility annotations and must not declare hidden
-  /// params/results (those need the await/finish round-trip). Bodies always
-  /// go to the pool: ImplDecl::inline_start is ignored here and by
-  /// start_compatible_pending.
+  /// params/results (those need the await/finish round-trip). The body runs
+  /// on the pool, or on its caller if that caller is parked waiting for it;
+  /// ImplDecl::inline_start is ignored here and by start_compatible_pending.
   void start_compatible(const Accepted& a);
 
   /// Batched accept + start_compatible: accepts attached calls of `entry`
@@ -102,6 +102,24 @@ class Manager {
   /// acquisition and one executor wakeup. Returns the number launched
   /// (0 when nothing was attached or the gate is closed).
   std::size_t start_compatible_pending(EntryRef entry);
+
+  /// A standing order for this manager incarnation: from now on, a call of
+  /// `entry` that arrives while no older call of the entry waits, finds a
+  /// free slot and finds the compat gate open (as `accept_guard(entry)
+  /// .compatible()` would) is accepted and started by the kernel in its
+  /// caller's `async_call`, with no manager turn (caller-side admission,
+  /// DESIGN.md §4.8). Trace phases, `#P` and the counters read as if the
+  /// manager had run accept + start_compatible. An ImplDecl::inline_start
+  /// body then runs on the calling thread before `async_call` returns; any
+  /// other body launches as start_compatible's would. A call that does not
+  /// qualify attaches and waits for the manager, so keep serving the entry
+  /// (an accept guard with `.compatible()`). Guarded calls (a deadline or a
+  /// cancel token) and every call of a supervised or slot-bound object
+  /// always take the manager path. The order ends when this incarnation
+  /// exits or is retired. Issue it only if the manager would start every
+  /// such call at once anyway: the kernel cannot see what the accept arm
+  /// does besides starting the call. Same refusals as start_compatible.
+  void start_compatible_on_arrival(EntryRef entry);
 
   // ---- await ----
 

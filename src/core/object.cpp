@@ -23,7 +23,12 @@ CallHandle BodyCtx::call_sibling(EntryRef target, ValueList params) const {
 }
 
 Object::Object(std::string name, ObjectOptions opts)
-    : name_(std::move(name)), opts_(opts) {}
+    : name_(std::move(name)),
+      opts_(opts),
+      callers_run_bodies_(
+          opts_.supervision.mode == SupervisionMode::kFailFast &&
+          !(opts_.watchdog.enabled && opts_.watchdog.escalate) &&
+          opts_.model != sched::ProcessModel::kSlotBound) {}
 
 Object::~Object() { stop(); }
 
@@ -221,9 +226,14 @@ void Object::spawn_manager() {
       err = std::current_exception();
       what = "unknown error";
     }
-    // A retired thread is no longer the manager: whoever retired it has
-    // already applied the policy on its behalf (see retire_manager_locked).
-    if (manager_retired()) return;
+    {
+      // A retired thread is no longer the manager: whoever retired it has
+      // already withdrawn its orders and applied the policy on its behalf
+      // (see retire_manager_locked).
+      std::scoped_lock lock(mu_);
+      if (manager_retired()) return;
+      clear_arrival_orders_locked();
+    }
     if (err) {
       handle_manager_failure(std::move(err), what);
     } else {
@@ -342,13 +352,25 @@ void Object::stop() {
     std::unique_lock lock(caller_run_mu_);
     caller_run_cv_.wait(lock, [&] { return caller_runs_ == 0; });
   }
+  // Every call is complete, so each parked caller is waking and leaves
+  // parked_callers_ at once; it must not find the object gone.
+  while (parked_callers_.load(std::memory_order_acquire) != 0) {
+    std::this_thread::yield();
+  }
   stop_done_.set();
 }
 
 void Object::retire_manager_locked() {
+  clear_arrival_orders_locked();
   mgr_inline_ = false;
   manager_thread_id_.store(std::thread::id{}, std::memory_order_release);
   retired_managers_.push_back(std::move(manager_thread_));
+}
+
+void Object::clear_arrival_orders_locked() {
+  for (auto& ep : entries_) {
+    ep->admit_on_arrival.store(false, std::memory_order_relaxed);
+  }
 }
 
 bool Object::running() const {
@@ -475,11 +497,20 @@ CallHandle Object::dispatch(std::size_t entry_idx, ValueList params,
   trace(e, call_id, kNoSlot, CallPhase::kArrived);
 
   const bool intercepted = e.intercepted;
+  const bool guarded = opts != nullptr && !opts->none();
+  // Only a compat participant's call can be handed to its parked caller.
+  if (e.compat_participant) state->count_parked_in(&parked_callers_);
+  CallRecord rec{std::move(params), state, std::chrono::steady_clock::now(),
+                 call_id, guarded};
+  // A guarded call keeps the manager path: its body stays pooled, so its
+  // deadline or cancel reaches its caller on time.
+  if (!guarded && callers_run_bodies_ &&
+      e.admit_on_arrival.load(std::memory_order_relaxed) &&
+      admit_on_arrival(entry_idx, rec)) {
+    return handle;
+  }
   if (intercepted) e.in_intake.fetch_add(1, std::memory_order_relaxed);
-  intake_.push(IntakeItem{entry_idx,
-                          CallRecord{std::move(params), state,
-                                     std::chrono::steady_clock::now(), call_id,
-                                     opts != nullptr && !opts->none()}});
+  intake_.push(IntakeItem{entry_idx, std::move(rec)});
   if (intercepted) {
     // Batched intake: the manager drains the whole backlog under one lock
     // acquisition when it next evaluates accept/select. signal() skips the
@@ -496,10 +527,57 @@ CallHandle Object::dispatch(std::size_t entry_idx, ValueList params,
     // batch of one, concurrent callers combine into one drain.
     flush_intake();
   }
-  if (opts != nullptr && !opts->none() && !state->ready()) {
+  if (guarded && !state->ready()) {
     register_call_guard(call_id, entry_idx, state, *opts);
   }
   return handle;
+}
+
+bool Object::admit_on_arrival(std::size_t entry_idx, CallRecord& rec) {
+  EntryCore& e = core(entry_idx);
+  std::vector<BodyLaunch> launch;
+  {
+    std::scoped_lock lock(mu_);
+    if (!e.admit_on_arrival.load(std::memory_order_relaxed) ||
+        stopping_.load(std::memory_order_acquire) ||
+        down_.load(std::memory_order_acquire)) {
+      return false;
+    }
+    // Every earlier arrival attaches first, so the gate below judges this
+    // call against all of them, as the manager would after its own drain.
+    drain_intake_locked();
+    const bool first = e.attached.empty() && e.overflow.empty();
+    attach_locked(entry_idx, std::move(rec));
+    if (first && !e.attached.empty() &&
+        admissible_on_arrival_locked(entry_idx)) {
+      const std::size_t slot_idx = e.attached.front();
+      accept_locked(entry_idx, slot_idx);
+      Slot& s = e.slots[slot_idx];
+      ValueList full = std::move(s.call->params);
+      s.call->params.clear();
+      ma_start_locked(entry_idx, slot_idx, std::move(full), launch);
+      if (e.impl.inline_start) {
+        // Counted before mu_ drops: a stop() that follows waits for it.
+        std::scoped_lock run_lock(caller_run_mu_);
+        ++caller_runs_;
+      }
+    }
+  }
+  if (launch.empty()) {
+    // An older call of this entry, no free slot, or a closed gate: the call
+    // waits for the manager's accept like any other.
+    mgr_wake_.signal();
+    return true;
+  }
+  // Admitted: the manager has nothing to do for this call.
+  if (e.impl.inline_start) {
+    BodyLaunch& l = launch.front();
+    run_body(l.entry, l.slot, std::move(l.params));
+    end_caller_run();
+  } else {
+    launch_bodies(std::move(launch));
+  }
+  return true;
 }
 
 void Object::drain_intake_locked() {
@@ -927,6 +1005,20 @@ bool Object::compat_gate_open_locked(std::size_t i) const {
   return true;
 }
 
+bool Object::admissible_on_arrival_locked(std::size_t i) const {
+  if (!compat_gate_open_locked(i)) return false;
+  // The manager accepts a call (in select) and starts it (in the arm) under
+  // two lock acquisitions. An incompatible call it has accepted is older
+  // than this one, and admitting this one now would defer it behind it.
+  for (std::size_t j : compat_participants_) {
+    if (entries_[i]->compat[j]) continue;
+    for (const Slot& s : entries_[j]->slots) {
+      if (s.state == SlotState::kAccepted) return false;
+    }
+  }
+  return true;
+}
+
 void Object::ma_start_locked(std::size_t entry_idx, std::size_t slot_idx,
                              ValueList params, std::vector<BodyLaunch>& out) {
   EntryCore& e = core(entry_idx);
@@ -941,20 +1033,17 @@ void Object::ma_start_locked(std::size_t entry_idx, std::size_t slot_idx,
   if (ma_total_running_ > 1) ++e.ma_concurrent;
   trace(e, s.call->id, slot_idx, CallPhase::kStarted, ma_total_running_);
   // Who runs the body (DESIGN.md §4.8): a guarded call keeps the pool so its
-  // deadline or cancel reaches a waiting caller on time, and a slot-bound
-  // object keeps its one process per slot. A supervised object (quarantine,
-  // restart, or an escalating watchdog) keeps the pool too: its teardown
-  // releases the caller of a hung body, which a caller running that body
-  // could not be. A call nobody waits on yet (a pipelined one) skips the
-  // handoff attempt; hand_to_waiter decides. Once one launch in `out` has
-  // no caller, the whole batch takes the pool (launch_bodies), so the rest
-  // skip the waiter read: it is one more cache line under mu_ per launch.
-  const bool supervised =
-      opts_.supervision.mode != SupervisionMode::kFailFast ||
-      (opts_.watchdog.enabled && opts_.watchdog.escalate);
+  // deadline or cancel reaches a waiting caller on time, and so does every
+  // call of an object whose callers may not run bodies (callers_run_bodies_).
+  // A call nobody waits on yet (a pipelined one) skips the handoff attempt;
+  // hand_to_waiter decides. The call's waiter count is one more cache line
+  // under mu_, so it is read only while some caller of this object is
+  // parked, and not once a launch in `out` has no caller: the whole batch
+  // then takes the pool (launch_bodies).
   std::shared_ptr<CallState> caller;
   if ((out.empty() || out.back().caller) && !s.call->guarded &&
-      !supervised && opts_.model != sched::ProcessModel::kSlotBound &&
+      callers_run_bodies_ &&
+      parked_callers_.load(std::memory_order_relaxed) > 0 &&
       s.call->state->waiters() > 0) {
     caller = s.call->state;
   }

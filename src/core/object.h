@@ -12,6 +12,8 @@
 //        group is in flight) ─group drains→ Running
 //      Running (multiactive) ─body returns→ slot freed, caller completed by
 //        the kernel (no await/finish)
+//      Attached ─(manager's standing order, gate open)→ Accepted → Running,
+//        in the caller's own async_call (caller-side admission)
 //
 // Each transition is written once, in a kernel helper: accept_locked,
 // await_locked, release_slot_locked (which frees through Slot::reset), and
@@ -355,6 +357,14 @@ class Object {
     BodyFn body;
     bool implemented = false;
     bool intercepted = false;
+    /// This entry carries a compat annotation (or is named by one). Frozen
+    /// at start(); beside `intercepted`, on the line dispatch reads anyway.
+    bool compat_participant = false;
+    /// The manager's standing order (Manager::start_compatible_on_arrival):
+    /// a call that finds the compat gate open is admitted by its caller in
+    /// dispatch (admit_on_arrival). Written under mu_ and re-read there;
+    /// dispatch reads it lock-free only to pick the path.
+    std::atomic<bool> admit_on_arrival{false};
     std::size_t icept_params = 0;
     std::size_t icept_results = 0;
     std::vector<Slot> slots;
@@ -370,8 +380,6 @@ class Object {
     std::uint64_t accepts = 0, starts = 0, finishes = 0, combines = 0;
 
     // -- compatibility scheduling (DESIGN.md §4.8); frozen at start() --
-    /// This entry carries a compat annotation (or is named by one).
-    bool compat_participant = false;
     /// compat[j]: a call of this entry may run concurrently with a call of
     /// entry j. Symmetric across entries; compat[self] only when the entry
     /// listed itself. Sized entries_.size() at start().
@@ -460,6 +468,18 @@ class Object {
   void attach_locked(std::size_t entry_idx, CallRecord rec);
   CallHandle dispatch(std::size_t entry_idx, ValueList params, bool external,
                       const CallOptions* opts = nullptr);
+  /// Caller-side admission (DESIGN.md §4.8), for a call of an entry with the
+  /// manager's standing order: under mu_, drains the intake, attaches the
+  /// call and, if it is its entry's only waiting call, got a slot and finds
+  /// the compat gate open, accepts and starts it as the manager would. An
+  /// ImplDecl::inline_start body then runs here, on the calling thread.
+  /// Otherwise the attached call waits for the manager, which is woken.
+  /// Returns false, leaving `rec` alone, when the order is gone or the
+  /// object is stopping or down: the call then takes the intake.
+  bool admit_on_arrival(std::size_t entry_idx, CallRecord& rec);
+  /// Withdraws every standing order; a manager incarnation's orders end
+  /// with it (exit, retirement, and so restart). Requires mu_.
+  void clear_arrival_orders_locked();
   /// Manager primitives (and select fires) bump this so the watchdog can
   /// tell "blocked with nothing to do" from "wedged with work pending".
   void note_progress() { mgr_ops_.fetch_add(1, std::memory_order_relaxed); }
@@ -535,7 +555,8 @@ class Object {
   /// the call) and its completion epilogue, on whichever thread calls it: a
   /// pooled worker via make_body_task, the manager thread itself for an
   /// inline body (execute, or start of an ImplDecl::inline_start entry), or
-  /// the call's own parked caller for a multiactive body (launch_bodies).
+  /// the call's own caller for a multiactive body: parked (launch_bodies)
+  /// or admitting it in async_call (admit_on_arrival).
   /// The epilogue routes on Slot::multiactive: the serial path parks the
   /// result for await/finish, the compat path completes the caller directly
   /// and drains the deferred queue. Call without mu_.
@@ -571,6 +592,10 @@ class Object {
   /// oldest attached call (arrival-order fairness — an incompatible call
   /// that arrived first gets its turn before the gate reopens).
   bool compat_gate_open_locked(std::size_t i) const;
+  /// Caller-side admission's gate: compat_gate_open_locked, and no
+  /// incompatible call accepted but not yet started (the manager between
+  /// its select's accept and its arm's start).
+  bool admissible_on_arrival_locked(std::size_t i) const;
   /// One multiactive body to launch: built under mu_ by ma_start_locked,
   /// issued outside it by launch_bodies.
   struct BodyLaunch {
@@ -646,6 +671,12 @@ class Object {
 
   ManagerFn manager_fn_;
   bool has_manager_ = false;
+  /// A caller may run its own multiactive body (caller-runs dispatch and
+  /// caller-side admission, DESIGN.md §4.8): not on a supervised object,
+  /// whose teardown must release the caller of a hung body, nor on a
+  /// slot-bound one, whose slots keep their one process each. Fixed at
+  /// construction.
+  bool callers_run_bodies_ = false;
   Tracer* tracer_ = nullptr;
   std::atomic<std::uint64_t> next_call_id_{1};
   std::unique_ptr<sched::Executor> executor_;
@@ -712,6 +743,11 @@ class Object {
   std::mutex caller_run_mu_;
   std::size_t caller_runs_ = 0;
   std::condition_variable caller_run_cv_;
+  /// Callers parked in the untimed CallState::wait on a call of a compat
+  /// participant (CallState::count_parked_in). ma_start_locked reads no
+  /// call's waiter count while it is zero; stop() waits for it to drain, so
+  /// no waiter touches it after the object is gone.
+  std::atomic<std::size_t> parked_callers_{0};
 };
 
 }  // namespace alps

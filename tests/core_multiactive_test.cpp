@@ -4,8 +4,9 @@
 // start_compatible_pending dispatch paths, deferred-call parking and
 // arrival-order drain, gate fairness (no overtaking of an older incompatible
 // call), interaction with cancellation / deadlines / restart, which thread
-// runs a body (caller-runs dispatch), serial equivalence against the
-// unannotated protocol, and the trace/stats cross-check.
+// runs a body (caller-runs dispatch), caller-side admission under the
+// manager's standing order, serial equivalence against the unannotated
+// protocol, and the trace/stats cross-check.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -773,6 +774,323 @@ TEST(Multiactive, SupervisedObjectsKeepThePool) {
     caller.join();
     EXPECT_NE(rig.thread_of(3), caller_id);
     rig.obj.stop();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Caller-side admission: the manager's standing order (DESIGN.md §4.8)
+// ---------------------------------------------------------------------------
+
+/// Read (compatible with itself) and Write (serial group), with a manager
+/// that issues Manager::start_compatible_on_arrival for Read before its
+/// gated select. `inline_read` declares ImplDecl::inline_start on Read. A
+/// Hold call parks the manager in its arm until `release_manager` opens.
+struct AdmitRig {
+  Object obj;
+  EntryRef read, write, hold;
+  Gate ordered, manager_held, release_manager, hold_reads, hold_writes;
+  std::atomic<int> reads_entered{0}, writes_entered{0};
+  std::mutex mu;
+  std::vector<std::int64_t> order;                      // body tags
+  std::map<std::int64_t, std::thread::id> body_thread;  // by tag
+
+  AdmitRig(bool inline_read, bool block_reads, bool block_writes,
+           ObjectOptions opts = ObjectOptions{.pool_workers = 4})
+      : obj("Admit", std::move(opts)) {
+    read = obj.define_entry(
+        EntryDecl{.name = "Read", .params = 1, .results = 1}.compatible_with(
+            {"Read"}));
+    write = obj.define_entry(
+        EntryDecl{.name = "Write", .params = 1, .results = 0}.serial_group());
+    hold = obj.define_entry({.name = "Hold", .params = 0, .results = 0});
+    obj.implement(read, ImplDecl{.array = 4, .inline_start = inline_read},
+                  [this, block_reads](BodyCtx& ctx) -> ValueList {
+                    note(ctx.param(0).as_int());
+                    ++reads_entered;
+                    if (block_reads) hold_reads.wait();
+                    return {ctx.param(0)};
+                  });
+    obj.implement(write, ImplDecl{.array = 2},
+                  [this, block_writes](BodyCtx& ctx) -> ValueList {
+                    note(ctx.param(0).as_int());
+                    ++writes_entered;
+                    if (block_writes) hold_writes.wait();
+                    return {};
+                  });
+    obj.implement(hold, [](BodyCtx&) -> ValueList { return {}; });
+    obj.set_manager(
+        {intercept(read), intercept(write), intercept(hold)},
+        [this](Manager& m) {
+          m.start_compatible_on_arrival(read);
+          ordered.open();
+          Select()
+              .on(accept_guard(read).compatible().then([&](Accepted a) {
+                m.start_compatible(a);
+                m.start_compatible_pending(read);
+              }))
+              .on(accept_guard(write).compatible().then(
+                  [&](Accepted a) { m.start_compatible(a); }))
+              .on(accept_guard(hold).then([&](Accepted a) {
+                manager_held.open();
+                release_manager.wait();
+                m.execute(a);
+              }))
+              .loop(m);
+        });
+  }
+
+  void start() {
+    obj.start();
+    ASSERT_TRUE(ordered.wait());
+  }
+
+  void note(std::int64_t tag) {
+    std::scoped_lock lock(mu);
+    order.push_back(tag);
+    body_thread[tag] = std::this_thread::get_id();
+  }
+
+  std::thread::id thread_of(std::int64_t tag) {
+    std::scoped_lock lock(mu);
+    return body_thread[tag];
+  }
+
+  std::vector<std::int64_t> bodies() {
+    std::scoped_lock lock(mu);
+    return order;
+  }
+};
+
+TEST(Multiactive, OpenGateReadCompletesInsideAsyncCallOnTheCaller) {
+  AdmitRig rig(/*inline_read=*/true, false, false);
+  rig.start();
+  CallHandle h = rig.obj.async_call(rig.read, vals(7));
+  EXPECT_TRUE(h.ready()) << "an admitted inline body runs before async_call "
+                            "returns";
+  EXPECT_EQ(rig.thread_of(7), std::this_thread::get_id());
+  EXPECT_EQ(h.get()[0].as_int(), 7);
+  // Counted as if the manager had accepted and started it.
+  const EntryStats st = stats_of(rig.obj, "Read");
+  EXPECT_EQ(st.calls, 1u);
+  EXPECT_EQ(st.accepts, 1u);
+  EXPECT_EQ(st.starts, 1u);
+  EXPECT_EQ(st.ma_started, 1u);
+  EXPECT_EQ(st.finishes, 1u);
+  EXPECT_EQ(rig.obj.pending(rig.read), 0u);
+  rig.obj.stop();
+}
+
+TEST(Multiactive, AdmittedBodyWithoutInlineStartLaunchesOnThePool) {
+  AdmitRig rig(/*inline_read=*/false, /*block_reads=*/true, false);
+  rig.start();
+  CallHandle h = rig.obj.async_call(rig.read, vals(3));
+  // Started with no manager turn, but on a pool worker: the caller is back
+  // while the body still blocks.
+  ASSERT_TRUE(eventually([&] { return rig.reads_entered.load() == 1; }));
+  EXPECT_FALSE(h.ready());
+  EXPECT_NE(rig.thread_of(3), std::this_thread::get_id());
+  EXPECT_EQ(stats_of(rig.obj, "Read").accepts, 1u);
+  rig.hold_reads.open();
+  EXPECT_EQ(h.get()[0].as_int(), 3);
+  rig.obj.stop();
+}
+
+TEST(Multiactive, ReadBehindARunningWriteWaitsForTheManager) {
+  AdmitRig rig(/*inline_read=*/true, false, /*block_writes=*/true);
+  rig.start();
+  CallHandle w = rig.obj.async_call(rig.write, vals(1));
+  ASSERT_TRUE(eventually([&] { return rig.writes_entered.load() == 1; }));
+  // The gate is closed: the read attaches and returns to its caller
+  // without running.
+  CallHandle r = rig.obj.async_call(rig.read, vals(2));
+  EXPECT_FALSE(r.ready());
+  EXPECT_EQ(rig.reads_entered.load(), 0);
+  EXPECT_EQ(rig.obj.pending(rig.read), 1u);
+  rig.hold_writes.open();
+  EXPECT_EQ(r.get()[0].as_int(), 2);
+  w.get();
+  EXPECT_EQ(rig.bodies(), (std::vector<std::int64_t>{1, 2}));
+  EXPECT_EQ(rig.obj.pending(rig.read), 0u);
+  rig.obj.stop();
+}
+
+TEST(Multiactive, ReadBehindAnOlderAttachedWriteKeepsArrivalOrder) {
+  AdmitRig rig(/*inline_read=*/true, false, false);
+  rig.start();
+  // Park the manager in user code, so the write stays unaccepted.
+  CallHandle held = rig.obj.async_call(rig.hold, {});
+  ASSERT_TRUE(rig.manager_held.wait());
+  CallHandle w = rig.obj.async_call(rig.write, vals(1));
+  // The read's admission drains the intake first, so it finds the older
+  // write attached and leaves the decision to the manager.
+  CallHandle r = rig.obj.async_call(rig.read, vals(2));
+  EXPECT_FALSE(r.ready());
+  EXPECT_FALSE(w.ready());
+  EXPECT_EQ(rig.obj.pending(rig.write), 1u);
+  EXPECT_EQ(rig.obj.pending(rig.read), 1u);
+  EXPECT_TRUE(rig.bodies().empty());
+  rig.release_manager.open();
+  held.get();
+  w.get();
+  EXPECT_EQ(r.get()[0].as_int(), 2);
+  EXPECT_EQ(rig.bodies(), (std::vector<std::int64_t>{1, 2}));
+  rig.obj.stop();
+}
+
+TEST(Multiactive, GuardedAndSupervisedCallsNeverSelfAdmit) {
+  {
+    AdmitRig rig(/*inline_read=*/true, false, false);
+    rig.start();
+    auto token = std::make_shared<CancelToken>();
+    CallHandle d =
+        rig.obj.async_call(rig.read, vals(1), CallOptions{.deadline = 5000ms});
+    CallHandle c =
+        rig.obj.async_call(rig.read, vals(2), CallOptions{.cancel = token});
+    EXPECT_EQ(d.get()[0].as_int(), 1);
+    EXPECT_EQ(c.get()[0].as_int(), 2);
+    EXPECT_NE(rig.thread_of(1), std::this_thread::get_id());
+    EXPECT_NE(rig.thread_of(2), std::this_thread::get_id());
+    // An unguarded call on the same object does admit itself.
+    CallHandle plain = rig.obj.async_call(rig.read, vals(3));
+    EXPECT_TRUE(plain.ready());
+    EXPECT_EQ(rig.thread_of(3), std::this_thread::get_id());
+    rig.obj.stop();
+  }
+  std::vector<ObjectOptions> kept(4, ObjectOptions{.pool_workers = 2});
+  kept[0].supervision.mode = SupervisionMode::kQuarantine;
+  kept[1].supervision.mode = SupervisionMode::kRestart;
+  kept[2].watchdog = {.enabled = true, .escalate = true};
+  kept[3].model = sched::ProcessModel::kSlotBound;
+  for (ObjectOptions& opts : kept) {
+    AdmitRig rig(/*inline_read=*/true, false, false, std::move(opts));
+    rig.start();
+    EXPECT_EQ(rig.obj.call(rig.read, vals(4))[0].as_int(), 4);
+    EXPECT_NE(rig.thread_of(4), std::this_thread::get_id());
+    rig.obj.stop();
+  }
+}
+
+/// Records every trace event in emission order.
+class PhaseLog : public Tracer {
+ public:
+  void on_event(const TraceEvent& ev) override {
+    collector.on_event(ev);
+    std::scoped_lock lock(mu_);
+    phases_[ev.call_id].push_back(ev.phase);
+  }
+  std::map<std::uint64_t, std::vector<CallPhase>> phases() const {
+    std::scoped_lock lock(mu_);
+    return phases_;
+  }
+
+  TraceCollector collector;
+
+ private:
+  mutable std::mutex mu_;
+  std::map<std::uint64_t, std::vector<CallPhase>> phases_;
+};
+
+TEST(Multiactive, CallerAdmittedCallsTraceAsTheManagerPath) {
+  PhaseLog log;
+  AdmitRig rig(/*inline_read=*/true, false, false);
+  rig.obj.set_tracer(&log);
+  rig.start();
+  // Four callers mix reads (most admitted by their callers) with writes
+  // (always the manager's), so both paths interleave.
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 4; ++t) {
+    callers.emplace_back([&, t] {
+      for (int i = 0; i < 200; ++i) {
+        const std::int64_t tag = t * 1000 + i;
+        if (i % 10 == 9) {
+          rig.obj.call(rig.write, vals(tag));
+        } else {
+          EXPECT_EQ(rig.obj.call(rig.read, vals(tag))[0].as_int(), tag);
+        }
+      }
+    });
+  }
+  for (auto& c : callers) c.join();
+  EXPECT_EQ(rig.obj.pending(rig.read), 0u);
+  EXPECT_EQ(rig.obj.pending(rig.write), 0u);
+  const EntryStats reads = stats_of(rig.obj, "Read");
+  rig.obj.stop();
+
+  const std::vector<CallPhase> want = {
+      CallPhase::kArrived, CallPhase::kAttached, CallPhase::kAccepted,
+      CallPhase::kStarted, CallPhase::kFinished};
+  const auto phases = log.phases();
+  EXPECT_EQ(phases.size(), 800u);
+  for (const auto& [id, seen] : phases) {
+    EXPECT_EQ(seen, want) << "call " << id;
+  }
+  EXPECT_EQ(reads.accepts, 720u);
+  EXPECT_EQ(reads.ma_started, 720u);
+  log.collector.flush_pending();
+  for (const char* entry : {"Read", "Write"}) {
+    const TraceCollector::EntryReport r = log.collector.report(entry);
+    EXPECT_EQ(r.arrived, r.finished) << entry;
+    EXPECT_EQ(r.failed + r.still_pending + r.unmatched, 0u) << entry;
+  }
+}
+
+TEST(Multiactive, ManagerExitWithdrawsTheStandingOrder) {
+  Object obj("Withdrawn");
+  EntryRef read = obj.define_entry(
+      EntryDecl{.name = "Read", .params = 1, .results = 1}.compatible_with(
+          {"Read"}));
+  std::atomic<int> entered{0};
+  obj.implement(read, ImplDecl{.array = 2, .inline_start = true},
+                [&](BodyCtx& ctx) -> ValueList {
+                  ++entered;
+                  return {ctx.param(0)};
+                });
+  obj.set_manager({intercept(read)}, [&](Manager& m) {
+    m.start_compatible_on_arrival(read);
+    throw std::runtime_error("manager exits");
+  });
+  obj.start();
+  // Fail-fast: the object stays up with no manager. manager_error() is set
+  // after the incarnation's orders are withdrawn.
+  ASSERT_TRUE(eventually([&] { return obj.manager_error() != nullptr; }));
+  CallHandle h = obj.async_call(read, vals(1));
+  EXPECT_FALSE(h.ready());
+  EXPECT_EQ(obj.pending(read), 1u);
+  obj.stop();
+  EXPECT_EQ(outcome_of(h), ErrorCode::kObjectStopped);
+  EXPECT_EQ(entered.load(), 0);
+}
+
+TEST(Multiactive, StandingOrderOnAnUnfitEntryIsAProtocolViolation) {
+  for (bool annotated : {false, true}) {
+    Object obj("Unfit");
+    EntryDecl decl{.name = "E", .params = 0, .results = 0};
+    if (annotated) decl = std::move(decl).compatible_with({"E"});
+    auto e = obj.define_entry(std::move(decl));
+    // Annotated but with a hidden result: needs the await/finish protocol.
+    obj.implement(e, ImplDecl{.hidden_results = annotated ? 1u : 0u},
+                  [annotated](BodyCtx&) -> ValueList {
+                    if (annotated) return {Value(0)};
+                    return {};
+                  });
+    obj.set_manager({intercept(e)},
+                    [&](Manager& m) { m.start_compatible_on_arrival(e); });
+    obj.start();
+    ASSERT_TRUE(eventually([&] { return obj.manager_error() != nullptr; }));
+    try {
+      std::rethrow_exception(obj.manager_error());
+    } catch (const Error& err) {
+      EXPECT_EQ(err.code(), ErrorCode::kProtocolViolation);
+      const std::string want =
+          annotated ? "hidden params/results"
+                    : "without compatibility annotations";
+      EXPECT_NE(std::string(err.what()).find(want), std::string::npos)
+          << err.what();
+      EXPECT_NE(std::string(err.what()).find("start_compatible_on_arrival"),
+                std::string::npos)
+          << err.what();
+    }
+    obj.stop();
   }
 }
 

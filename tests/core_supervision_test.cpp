@@ -867,6 +867,11 @@ enum class HeldIn : std::uint8_t {
   /// the body on a fail-fast object (the Stop row), the pool runs it on a
   /// supervised one. Base events only.
   kParkedCallerMultiactive,
+  /// Running multiactive, admitted by its own caller under the manager's
+  /// standing order (caller-side admission, DESIGN.md §4.8): an
+  /// inline_start body that runs inside the caller's async_call. Only a
+  /// fail-fast object admits on arrival, so only the Stop row.
+  kCallerAdmittedMultiactive,
 };
 
 enum class Teardown : std::uint8_t {
@@ -947,7 +952,7 @@ std::string teardown_case_name(
   static const char* const kStates[] = {
       "Overflow", "Attached",           "Accepted", "Deferred",
       "RunningSerial", "RunningMultiactive", "Ready", "Awaited",
-      "ParkedCallerMultiactive"};
+      "ParkedCallerMultiactive", "CallerAdmittedMultiactive"};
   static const char* const kEvents[] = {
       "Stop",           "Quarantine",         "RestartReplay",
       "RestartNoReplay", "QuarantineThenStop", "CancelThenStop",
@@ -1004,15 +1009,20 @@ class TeardownRig {
     holder_ = obj_.define_entry(
         EntryDecl{.name = "Holder", .params = 0, .results = 0}.serial_group());
     boom_ = obj_.define_entry({.name = "Boom", .params = 0, .results = 0});
-    obj_.implement(target_, [this](BodyCtx& ctx) -> ValueList {
-      if (entered_.load() == 0) target_thread_ = std::this_thread::get_id();
-      ++entered_;
-      release_.wait();
-      return {ctx.param(0)};
-    });
+    obj_.implement(
+        target_,
+        ImplDecl{.inline_start = c.state == HeldIn::kCallerAdmittedMultiactive},
+        [this](BodyCtx& ctx) -> ValueList {
+          if (entered_.load() == 0) target_thread_ = std::this_thread::get_id();
+          ++entered_;
+          release_.wait();
+          ++exited_;
+          return {ctx.param(0)};
+        });
     obj_.implement(holder_, [this](BodyCtx&) -> ValueList {
       ++entered_;
       release_.wait();
+      ++exited_;
       return {};
     });
     obj_.implement(boom_, [](BodyCtx&) -> ValueList { return {}; });
@@ -1070,6 +1080,9 @@ class TeardownRig {
         m.start_compatible(a);
         return;
       }
+      case HeldIn::kCallerAdmittedMultiactive:
+        m.start_compatible_on_arrival(target_);
+        return;
       case HeldIn::kAwaited: {
         Accepted a = m.accept(target_);
         m.start(a);
@@ -1090,6 +1103,7 @@ class TeardownRig {
       case HeldIn::kRunningSerial:
       case HeldIn::kRunningMultiactive:
       case HeldIn::kParkedCallerMultiactive:
+      case HeldIn::kCallerAdmittedMultiactive:
         return entered_.load() == 1;
       case HeldIn::kReady:
         return phases_.count("Target", CallPhase::kReady) == 1;
@@ -1105,7 +1119,7 @@ class TeardownRig {
   EntryRef target_, holder_, boom_;
   PhaseCounter phases_;
   std::atomic<int> incarnations_{0};
-  std::atomic<int> entered_{0};
+  std::atomic<int> entered_{0}, exited_{0};
   std::atomic<std::thread::id> target_thread_{};  // of the first Target body
   Gate staged_, release_, caller_parked_;
   Object obj_;  // last: stopped before the state its threads use goes away
@@ -1125,9 +1139,26 @@ TEST_P(TeardownTableTest, HeldCallMeetsItsCell) {
     held.push_back(rig.obj_.async_call(rig.target_, {Value(1)}));
   }
   auto cancel = std::make_shared<CancelToken>();
-  held.push_back(rig.obj_.async_call(
-      rig.target_, {Value(2)},
-      cancels(c.event) ? CallOptions{.cancel = cancel} : CallOptions{}));
+  // A caller-admitted cell issues the held call once the standing order is
+  // in place, from a thread of its own: the admitted body runs inside that
+  // thread's async_call, which returns only when the body does.
+  std::optional<std::thread> admitting_caller;
+  std::atomic<std::thread::id> admitting_id{};
+  std::atomic<bool> admitting_returned{false};
+  std::optional<ErrorCode> admitting_got;
+  if (c.state == HeldIn::kCallerAdmittedMultiactive) {
+    ASSERT_TRUE(rig.staged_.wait());
+    admitting_caller.emplace([&] {
+      admitting_id = std::this_thread::get_id();
+      CallHandle h = rig.obj_.async_call(rig.target_, {Value(2)});
+      admitting_got = outcome_of(h);
+      admitting_returned = true;
+    });
+  } else {
+    held.push_back(rig.obj_.async_call(
+        rig.target_, {Value(2)},
+        cancels(c.event) ? CallOptions{.cancel = cancel} : CallOptions{}));
+  }
   // A parked-caller cell parks a caller on the held call before the manager
   // launches it. Only the fail-fast object of the Stop row hands that
   // caller the body; the supervised objects of the other rows keep it
@@ -1155,6 +1186,9 @@ TEST_P(TeardownTableTest, HeldCallMeetsItsCell) {
       EXPECT_NE(rig.target_thread_.load(), parked_id.load());
     }
   }
+  if (admitting_caller) {
+    EXPECT_EQ(rig.target_thread_.load(), admitting_id.load());
+  }
 
   // An "already failed" row fails the held call before its last event.
   if (c.event == Teardown::kQuarantineThenStop) {
@@ -1171,13 +1205,25 @@ TEST_P(TeardownTableTest, HeldCallMeetsItsCell) {
   std::vector<std::optional<ErrorCode>> got;
   std::optional<ErrorCode> holder_got;
   if (last_event(c.event) == Teardown::kStop) {
-    std::thread stopper([&] { rig.obj_.stop(); });
+    std::atomic<int> exited_at_stop{-1};
+    std::thread stopper([&] {
+      rig.obj_.stop();
+      exited_at_stop = rig.exited_.load();
+    });
     for (auto& h : held) got.push_back(outcome_of(h));
     if (holder) holder_got = outcome_of(*holder);
     // The stop failed the held call at once, but a caller running its body
     // sees that only when the body returns (DESIGN.md §4.6).
     if (parked_caller) {
       EXPECT_FALSE(parked_returned.load());
+    }
+    if (admitting_caller) {
+      // Nothing to read from a handle the caller does not have yet: wait
+      // for the stop's sweep, then check the body still holds both back.
+      EXPECT_TRUE(eventually([&] { return !rig.obj_.running(); }));
+      std::this_thread::sleep_for(50ms);
+      EXPECT_FALSE(admitting_returned.load());
+      EXPECT_EQ(exited_at_stop.load(), -1) << "stop() returned under the body";
     }
     if (c.event != Teardown::kStop) {
       // The held call failed before the stop, so its outcome says nothing
@@ -1188,6 +1234,7 @@ TEST_P(TeardownTableTest, HeldCallMeetsItsCell) {
     }
     rig.release_.open();
     stopper.join();
+    EXPECT_EQ(exited_at_stop.load(), rig.entered_.load());
   } else {
     (void)outcome_of(rig.obj_.async_call(rig.boom_, {}));
     // The body stayed pooled, so a quarantine releases its parked caller
@@ -1204,6 +1251,10 @@ TEST_P(TeardownTableTest, HeldCallMeetsItsCell) {
   if (parked_caller) {
     parked_caller->join();
     EXPECT_EQ(parked_got, want);
+  }
+  if (admitting_caller) {
+    admitting_caller->join();
+    EXPECT_EQ(admitting_got, want);
   }
   if (holder) {
     EXPECT_EQ(holder_got,
@@ -1243,6 +1294,7 @@ std::vector<TeardownCase> all_teardown_cases() {
           TeardownCase{static_cast<HeldIn>(s), static_cast<Teardown>(e)});
     }
   }
+  out.push_back({HeldIn::kCallerAdmittedMultiactive, Teardown::kStop});
   out.push_back({HeldIn::kRunningSerial, Teardown::kQuarantineThenStop});
   for (HeldIn s : {HeldIn::kAccepted, HeldIn::kRunningSerial, HeldIn::kReady,
                    HeldIn::kAwaited}) {
