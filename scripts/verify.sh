@@ -6,7 +6,8 @@
 #   scripts/verify.sh            # tier-1 + TSan + ASan/UBSan
 #   scripts/verify.sh --tier1    # tier-1 only (what CI gates on)
 #   scripts/verify.sh --stress   # the concurrency suites, 50 repeats each,
-#                                # pinned to one core and then unpinned
+#                                # pinned to one core and then unpinned, and
+#                                # the kernel-admission suites on two cores
 #
 # Tier-1 runs every ctest case until it fails, up to 10 times, so a flake
 # that shows up one run in a few fails the gate instead of slipping by.
@@ -31,22 +32,30 @@ if [[ "${1:-}" == "--stress" ]]; then
   # preemption); all cores is where they truly overlap. The supervision and
   # multiactive suites drive the teardown table (stop, quarantine, restart)
   # against running bodies, where restart races have only shown under
-  # repetition. apps_test's ReadersWriters cases drive caller-side admission
-  # (reads started in their callers' async_call) against the manager's
-  # writes.
+  # repetition. apps_test's ReadersWriters cases drive kernel admission
+  # (reads and writes started by their own callers, or by the body whose
+  # epilogue lets them in) with no manager turn. Two cores is where an
+  # epilogue most often admits a call whose caller sits between async_call
+  # and its wait, so those two suites also run pinned to two cores.
   STRESS_SUITES=(net_socket_test net_routing_test core_object_test
                  core_property_test core_supervision_test
                  core_multiactive_test apps_test)
+  ADMISSION_SUITES=(core_multiactive_test apps_test)
   cmake -B build -S . \
     -DALPS_SUITE_TARGETS="$(IFS=';'; echo "${STRESS_SUITES[*]}")" >/dev/null
   cmake --build build -j "$JOBS" --target suites
-  for pin in "taskset -c 0" ""; do
-    for t in "${STRESS_SUITES[@]}"; do
+  stress() {  # stress <pin> <suite>...
+    local pin=$1 t
+    shift
+    for t in "$@"; do
       echo "-- [${pin:-all cores}] $t x50"
       $pin "build/tests/$t" --gtest_repeat=50 --gtest_brief=1 || {
         echo "verify: stress ${pin:-all cores}/$t FAILED"; exit 1; }
     done
-  done
+  }
+  stress "taskset -c 0" "${STRESS_SUITES[@]}"
+  stress "taskset -c 0,1" "${ADMISSION_SUITES[@]}"
+  stress "" "${STRESS_SUITES[@]}"
   echo "verify: stress OK"
   exit 0
 fi

@@ -23,9 +23,10 @@ ReadersWritersDb::ReadersWritersDb(Options options)
   }
 
   // --- implementation part: Read is a hidden array Read[1..ReadMax] ---
-  // A multiactive Read with no service time is one hash lookup: a caller
-  // that admits it runs it on its own thread (DESIGN.md §4.8). The serial
-  // protocol's start stays asynchronous.
+  // A multiactive Read or Write with no service time is one hash lookup or
+  // store: one the kernel admits in its caller's async_call runs on that
+  // thread (DESIGN.md §4.8). The serial protocol's start stays
+  // asynchronous (and it executes writes on the manager thread anyway).
   obj_.implement(read_,
                  ImplDecl{.array = options_.read_max,
                           .inline_start = options_.multiactive &&
@@ -47,16 +48,21 @@ ReadersWritersDb::ReadersWritersDb(Options options)
                    --readers_active_;
                    return {Value(data)};
                  });
-  obj_.implement(write_, [this](BodyCtx& ctx) -> ValueList {
-    if (++writers_active_ > 1 || readers_active_.load() > 0) violated_ = true;
-    if (options_.write_time.count() > 0) {
-      std::this_thread::sleep_for(options_.write_time);
-    }
-    table_[ctx.param(0).as_int()] = ctx.param(1).as_int();
-    ++writes_;
-    --writers_active_;
-    return {};
-  });
+  obj_.implement(write_,
+                 ImplDecl{.inline_start = options_.multiactive &&
+                                          options_.write_time.count() == 0},
+                 [this](BodyCtx& ctx) -> ValueList {
+                   if (++writers_active_ > 1 || readers_active_.load() > 0) {
+                     violated_ = true;
+                   }
+                   if (options_.write_time.count() > 0) {
+                     std::this_thread::sleep_for(options_.write_time);
+                   }
+                   table_[ctx.param(0).as_int()] = ctx.param(1).as_int();
+                   ++writes_;
+                   --writers_active_;
+                   return {};
+                 });
 
   if (options_.multiactive) {
     // --- manager: compat-gated dispatch. The kernel's compatibility gate
@@ -64,12 +70,16 @@ ReadersWritersDb::ReadersWritersDb(Options options)
     // only when the call is compatible with every in-flight group AND no
     // older incompatible call is waiting (arrival-order fairness), and
     // ReadMax is still enforced by the hidden array's slot count. Bodies
-    // complete their callers directly — no await/finish turns. The read
-    // arm only starts reads, so reads are admitted on arrival: a read that
-    // finds the gate open starts in its caller's async_call, and the arm
-    // serves the reads that arrived while it was closed.
+    // complete their callers directly — no await/finish turns. Each arm
+    // only starts its calls, so the manager leaves both entries to the
+    // kernel with a standing order: a call is admitted by whichever thread
+    // opens the gate for it, its own caller on arrival or the body whose
+    // epilogue lets it in, and the manager is not woken for it. The arms
+    // serve what the kernel leaves: guarded calls (a deadline or a cancel
+    // token) and the calls queued behind one.
     obj_.set_manager({intercept(read_), intercept(write_)}, [this](Manager& m) {
       m.start_compatible_on_arrival(read_);
+      m.start_compatible_on_arrival(write_);
       Select()
           .on(accept_guard(read_).compatible().then([&](Accepted a) {
             m.start_compatible(a);

@@ -70,10 +70,12 @@ struct ImplDecl {
   /// The body is short and never waits on its own object. Manager::start
   /// and start_with then run it on the manager thread, as execute does, and
   /// save the two thread handoffs of a pooled start (DESIGN.md §4.13). A
-  /// call that its caller admits under the manager's standing order
-  /// (Manager::start_compatible_on_arrival) runs it on the calling thread,
-  /// before async_call returns (§4.8). Off: the paper's asynchronous start.
-  /// start_compatible and start_compatible_pending ignore it.
+  /// call that the kernel admits in its own caller's async_call, under the
+  /// manager's standing order (Manager::start_compatible_on_arrival), runs
+  /// it on the calling thread before async_call returns; one admitted by a
+  /// leaving body runs on its parked caller or the pool (§4.8). Off: the
+  /// paper's asynchronous start. start_compatible and
+  /// start_compatible_pending ignore it.
   bool inline_start = false;
 };
 

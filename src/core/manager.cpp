@@ -323,6 +323,7 @@ void Manager::start_compatible_on_arrival(EntryRef entry) {
   check_compat_path(entry.index(), "start_compatible_on_arrival");
   check_stop();
   e.admit_on_arrival.store(true, std::memory_order_relaxed);
+  if (obj_->callers_run_bodies_) obj_->standing_orders_ = true;
 }
 
 Awaited Manager::await(EntryRef entry) {

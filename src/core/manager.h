@@ -103,22 +103,29 @@ class Manager {
   /// (0 when nothing was attached or the gate is closed).
   std::size_t start_compatible_pending(EntryRef entry);
 
-  /// A standing order for this manager incarnation: from now on, a call of
-  /// `entry` that arrives while no older call of the entry waits, finds a
-  /// free slot and finds the compat gate open (as `accept_guard(entry)
-  /// .compatible()` would) is accepted and started by the kernel in its
-  /// caller's `async_call`, with no manager turn (caller-side admission,
-  /// DESIGN.md §4.8). Trace phases, `#P` and the counters read as if the
-  /// manager had run accept + start_compatible. An ImplDecl::inline_start
-  /// body then runs on the calling thread before `async_call` returns; any
-  /// other body launches as start_compatible's would. A call that does not
-  /// qualify attaches and waits for the manager, so keep serving the entry
-  /// (an accept guard with `.compatible()`). Guarded calls (a deadline or a
-  /// cancel token) and every call of a supervised or slot-bound object
-  /// always take the manager path. The order ends when this incarnation
-  /// exits or is retired. Issue it only if the manager would start every
-  /// such call at once anyway: the kernel cannot see what the accept arm
-  /// does besides starting the call. Same refusals as start_compatible.
+  /// A standing order for this manager incarnation: from now on the kernel
+  /// accepts and starts every unguarded call of `entry` itself, whenever
+  /// the compat gate admits it, with no manager turn (kernel admission,
+  /// DESIGN.md §4.8). It does so wherever the gate can open: in the
+  /// `async_call` of an arriving call, and in the epilogue of a leaving
+  /// multiactive body. Each time it admits the oldest attached call of any
+  /// compat participant, and goes on until the oldest left is one it may
+  /// not take: a call of an entry without an order, a guarded call (a
+  /// deadline or a cancel token), or a call the gate (as
+  /// `accept_guard(entry).compatible()` would judge it) does not admit. So
+  /// no call overtakes an older one. Trace phases, `#P` and the counters
+  /// read as if the manager had run accept + start_compatible. An
+  /// ImplDecl::inline_start body admitted in its own caller's `async_call`
+  /// runs on that thread before `async_call` returns; every other body
+  /// launches as start_compatible's would, so a parked caller runs its own.
+  /// Keep serving the entry (an accept guard with `.compatible()`): the arm
+  /// serves only what the kernel leaves, guarded calls and the calls behind
+  /// a call only the manager may take, and the kernel wakes the manager
+  /// for those. Every call of a supervised or slot-bound object always
+  /// takes the manager path. The order ends when this incarnation exits or
+  /// is retired. Issue it only if the manager would start every such call
+  /// at once anyway: the kernel cannot see what the accept arm does besides
+  /// starting the call. Same refusals as start_compatible.
   void start_compatible_on_arrival(EntryRef entry);
 
   // ---- await ----

@@ -371,6 +371,7 @@ void Object::clear_arrival_orders_locked() {
   for (auto& ep : entries_) {
     ep->admit_on_arrival.store(false, std::memory_order_relaxed);
   }
+  standing_orders_ = false;
 }
 
 bool Object::running() const {
@@ -535,7 +536,10 @@ CallHandle Object::dispatch(std::size_t entry_idx, ValueList params,
 
 bool Object::admit_on_arrival(std::size_t entry_idx, CallRecord& rec) {
   EntryCore& e = core(entry_idx);
+  const std::uint64_t call_id = rec.id;
   std::vector<BodyLaunch> launch;
+  std::optional<BodyLaunch> own;
+  bool wake = false;
   {
     std::scoped_lock lock(mu_);
     if (!e.admit_on_arrival.load(std::memory_order_relaxed) ||
@@ -543,39 +547,30 @@ bool Object::admit_on_arrival(std::size_t entry_idx, CallRecord& rec) {
         down_.load(std::memory_order_acquire)) {
       return false;
     }
-    // Every earlier arrival attaches first, so the gate below judges this
-    // call against all of them, as the manager would after its own drain.
+    // Every earlier arrival attaches first, so the loop judges this call
+    // against all of them, as the manager would after its own drain.
     drain_intake_locked();
-    const bool first = e.attached.empty() && e.overflow.empty();
     attach_locked(entry_idx, std::move(rec));
-    if (first && !e.attached.empty() &&
-        admissible_on_arrival_locked(entry_idx)) {
-      const std::size_t slot_idx = e.attached.front();
-      accept_locked(entry_idx, slot_idx);
-      Slot& s = e.slots[slot_idx];
-      ValueList full = std::move(s.call->params);
-      s.call->params.clear();
-      ma_start_locked(entry_idx, slot_idx, std::move(full), launch);
-      if (e.impl.inline_start) {
-        // Counted before mu_ drops: a stop() that follows waits for it.
-        std::scoped_lock run_lock(caller_run_mu_);
-        ++caller_runs_;
+    wake = admit_standing_locked(launch);
+    if (e.impl.inline_start) {
+      for (auto it = launch.begin(); it != launch.end(); ++it) {
+        if (it->entry == entry_idx && e.slots[it->slot].call->id == call_id) {
+          own = std::move(*it);
+          launch.erase(it);
+          // Counted before mu_ drops: a stop() that follows waits for it,
+          // and for the launches below.
+          std::scoped_lock run_lock(caller_run_mu_);
+          ++caller_runs_;
+          break;
+        }
       }
     }
   }
-  if (launch.empty()) {
-    // An older call of this entry, no free slot, or a closed gate: the call
-    // waits for the manager's accept like any other.
-    mgr_wake_.signal();
-    return true;
-  }
-  // Admitted: the manager has nothing to do for this call.
-  if (e.impl.inline_start) {
-    BodyLaunch& l = launch.front();
-    run_body(l.entry, l.slot, std::move(l.params));
+  if (wake) mgr_wake_.signal();
+  if (!launch.empty()) launch_bodies(std::move(launch));
+  if (own) {
+    run_body(own->entry, own->slot, std::move(own->params));
     end_caller_run();
-  } else {
-    launch_bodies(std::move(launch));
   }
   return true;
 }
@@ -844,22 +839,18 @@ void Object::run_body(std::size_t entry_idx, std::size_t slot_idx,
       // group occupancy and launches any deferred calls that the
       // departure unblocked.
       //
-      // The manager is woken only when this completion changes what it
-      // can do: the group drained while a participant has attached
-      // calls (a closed compat gate may now be open), or the freed
-      // slot re-attaches an overflow call. A plain completion needs no
-      // manager turn at all — that is the multiactive throughput win.
+      // Under a standing order this thread then admits what its leaving
+      // let in (admit_standing_locked), and wakes the manager only for
+      // what the kernel may not take. Without one, the manager is woken
+      // only when this completion changes what it can do: the group
+      // drained while a participant has attached calls (a closed compat
+      // gate may now be open). Either way the freed slot re-attaching an
+      // overflow call wakes it. A plain completion needs no manager turn
+      // at all — that is the multiactive throughput win.
       wake_mgr = false;
       --ec.ma_running;
-      if (ec.ma_running == 0) {
-        ++compat_gen_;
-        for (std::size_t idx : compat_participants_) {
-          if (!entries_[idx]->attached.empty()) {
-            wake_mgr = true;
-            break;
-          }
-        }
-      }
+      const bool drained = ec.ma_running == 0;
+      if (drained) ++compat_gen_;
       --ma_total_running_;
       ++ec.finishes;
       if (!s.discard_on_ready && !s.abandoned) {
@@ -871,6 +862,16 @@ void Object::run_body(std::size_t entry_idx, std::size_t slot_idx,
       if (!ec.overflow.empty()) wake_mgr = true;  // release re-attaches
       release_slot_locked(entry_idx, slot_idx);
       drain_deferred_locked(launch);
+      if (standing_orders_) {
+        if (admit_standing_locked(launch)) wake_mgr = true;
+      } else if (drained) {
+        for (std::size_t idx : compat_participants_) {
+          if (!entries_[idx]->attached.empty()) {
+            wake_mgr = true;
+            break;
+          }
+        }
+      }
       if (stopping_.load(std::memory_order_relaxed)) wake_mgr = true;
     } else if (s.discard_on_ready) {
       // No manager will ever await this body (quarantine, or a
@@ -1017,6 +1018,50 @@ bool Object::admissible_on_arrival_locked(std::size_t i) const {
     }
   }
   return true;
+}
+
+bool Object::admit_standing_locked(std::vector<BodyLaunch>& out) {
+  if (!callers_run_bodies_ || stopping_.load(std::memory_order_acquire) ||
+      down_.load(std::memory_order_acquire)) {
+    return false;
+  }
+  for (;;) {
+    // Oldest first across participants (call ids rise with arrival), and
+    // stop at the first call the kernel may not take: no call overtakes an
+    // older one.
+    std::size_t ei = kNoSlot;
+    std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
+    for (std::size_t j : compat_participants_) {
+      const EntryCore& ej = *entries_[j];
+      if (ej.attached.empty()) continue;
+      const std::uint64_t id = ej.slots[ej.attached.front()].call->id;
+      if (id < oldest) {
+        oldest = id;
+        ei = j;
+      }
+    }
+    if (ei == kNoSlot) return false;
+    EntryCore& e = core(ei);
+    const std::size_t slot_idx = e.attached.front();
+    Slot& s = e.slots[slot_idx];
+    if (!e.admit_on_arrival.load(std::memory_order_relaxed) ||
+        s.call->guarded) {
+      // The manager's call. Its gate closes only on running or deferred
+      // work (nothing older is attached), and the epilogue of that work
+      // comes back here.
+      return compat_gate_open_locked(ei);
+    }
+    if (!admissible_on_arrival_locked(ei)) {
+      // A running body's epilogue comes back here once it leaves. With
+      // none running, the gate is held by a call the manager accepted, and
+      // only the manager moves it.
+      return ma_total_running_ == 0;
+    }
+    accept_locked(ei, slot_idx);
+    ValueList full = std::move(s.call->params);
+    s.call->params.clear();
+    ma_start_locked(ei, slot_idx, std::move(full), out);
+  }
 }
 
 void Object::ma_start_locked(std::size_t entry_idx, std::size_t slot_idx,

@@ -13,7 +13,8 @@
 //      Running (multiactive) ─body returns→ slot freed, caller completed by
 //        the kernel (no await/finish)
 //      Attached ─(manager's standing order, gate open)→ Accepted → Running,
-//        in the caller's own async_call (caller-side admission)
+//        by whichever thread opens the gate: an arriving caller in its
+//        async_call, or a leaving multiactive body (kernel admission)
 //
 // Each transition is written once, in a kernel helper: accept_locked,
 // await_locked, release_slot_locked (which frees through Slot::reset), and
@@ -361,9 +362,9 @@ class Object {
     /// at start(); beside `intercepted`, on the line dispatch reads anyway.
     bool compat_participant = false;
     /// The manager's standing order (Manager::start_compatible_on_arrival):
-    /// a call that finds the compat gate open is admitted by its caller in
-    /// dispatch (admit_on_arrival). Written under mu_ and re-read there;
-    /// dispatch reads it lock-free only to pick the path.
+    /// the kernel admits the entry's unguarded calls whenever the compat
+    /// gate lets them in (admit_standing_locked). Written under mu_ and
+    /// re-read there; dispatch reads it lock-free only to pick the path.
     std::atomic<bool> admit_on_arrival{false};
     std::size_t icept_params = 0;
     std::size_t icept_results = 0;
@@ -468,12 +469,12 @@ class Object {
   void attach_locked(std::size_t entry_idx, CallRecord rec);
   CallHandle dispatch(std::size_t entry_idx, ValueList params, bool external,
                       const CallOptions* opts = nullptr);
-  /// Caller-side admission (DESIGN.md §4.8), for a call of an entry with the
-  /// manager's standing order: under mu_, drains the intake, attaches the
-  /// call and, if it is its entry's only waiting call, got a slot and finds
-  /// the compat gate open, accepts and starts it as the manager would. An
-  /// ImplDecl::inline_start body then runs here, on the calling thread.
-  /// Otherwise the attached call waits for the manager, which is woken.
+  /// Kernel admission at arrival (DESIGN.md §4.8), for a call of an entry
+  /// with the manager's standing order: under mu_, drains the intake,
+  /// attaches the call and runs admit_standing_locked. If that admits this
+  /// call and its entry is ImplDecl::inline_start, the body runs here, on
+  /// the calling thread; every other admitted call launches through
+  /// launch_bodies. The manager is woken only if the loop says so.
   /// Returns false, leaving `rec` alone, when the order is gone or the
   /// object is stopping or down: the call then takes the intake.
   bool admit_on_arrival(std::size_t entry_idx, CallRecord& rec);
@@ -558,8 +559,9 @@ class Object {
   /// the call's own caller for a multiactive body: parked (launch_bodies)
   /// or admitting it in async_call (admit_on_arrival).
   /// The epilogue routes on Slot::multiactive: the serial path parks the
-  /// result for await/finish, the compat path completes the caller directly
-  /// and drains the deferred queue. Call without mu_.
+  /// result for await/finish, the compat path completes the caller directly,
+  /// drains the deferred queue and, under a standing order, admits the
+  /// calls its leaving lets in. Call without mu_.
   void run_body(std::size_t entry_idx, std::size_t slot_idx,
                 ValueList params);
   /// Wraps run_body as an executor task. Needs no lock: global_key is fixed
@@ -592,9 +594,9 @@ class Object {
   /// oldest attached call (arrival-order fairness — an incompatible call
   /// that arrived first gets its turn before the gate reopens).
   bool compat_gate_open_locked(std::size_t i) const;
-  /// Caller-side admission's gate: compat_gate_open_locked, and no
-  /// incompatible call accepted but not yet started (the manager between
-  /// its select's accept and its arm's start).
+  /// Kernel admission's gate: compat_gate_open_locked, and no incompatible
+  /// call accepted but not yet started (the manager between its select's
+  /// accept and its arm's start).
   bool admissible_on_arrival_locked(std::size_t i) const;
   /// One multiactive body to launch: built under mu_ by ma_start_locked,
   /// issued outside it by launch_bodies.
@@ -607,6 +609,16 @@ class Object {
     /// caller parked).
     std::shared_ptr<CallState> caller;
   };
+  /// The kernel's admission loop under the standing orders (DESIGN.md
+  /// §4.8), run wherever the compat gate can open: at an arrival and in a
+  /// multiactive body's epilogue. Accepts and starts the oldest attached
+  /// call of any participant, appending its launch to `out`, until the
+  /// oldest left has no order, is guarded, or is not admissible. Returns
+  /// whether the manager must be woken for what is left: a call only it
+  /// may take whose gate is open, or a closed gate that no running body's
+  /// epilogue will come back to. No-op (false) unless callers may run
+  /// bodies and the object is neither stopping nor down. Requires mu_.
+  bool admit_standing_locked(std::vector<BodyLaunch>& out);
   /// Marks an accepted slot Running on the compat path (counters, occupancy
   /// transitions, kStarted trace with the realized concurrency level) and
   /// appends its launch to `out`, the batch launch_bodies will issue.
@@ -672,11 +684,17 @@ class Object {
   ManagerFn manager_fn_;
   bool has_manager_ = false;
   /// A caller may run its own multiactive body (caller-runs dispatch and
-  /// caller-side admission, DESIGN.md §4.8): not on a supervised object,
+  /// kernel admission, DESIGN.md §4.8): not on a supervised object,
   /// whose teardown must release the caller of a hung body, nor on a
   /// slot-bound one, whose slots keep their one process each. Fixed at
   /// construction.
   bool callers_run_bodies_ = false;
+  /// Some entry holds a standing order the kernel applies (an order issued
+  /// on an object whose callers may run bodies). A multiactive epilogue
+  /// then runs admit_standing_locked; otherwise it keeps the plain wake
+  /// rule. Guarded by mu_; set by start_compatible_on_arrival, cleared with
+  /// the orders.
+  bool standing_orders_ = false;
   Tracer* tracer_ = nullptr;
   std::atomic<std::uint64_t> next_call_id_{1};
   std::unique_ptr<sched::Executor> executor_;

@@ -115,8 +115,9 @@ bool Network::admit_peer(NodeId id, const std::string& name,
   std::scoped_lock lock(mu_);
   if (id < node_names_.size()) {
     // Revival of a departed id (a restarted process re-joining under its
-    // old identity). A live id is a no-op, as on the socket backend.
-    if (!departed_.erase(id)) return false;
+    // old identity). A live id is a no-op, as on the socket backend. The
+    // base clears the eviction once this returns.
+    if (!evicted(id)) return false;
     node_names_[id] = name;
   } else if (id == node_names_.size()) {
     node_names_.push_back(name);
@@ -131,8 +132,8 @@ bool Network::admit_peer(NodeId id, const std::string& name,
 
 bool Network::evict_peer(NodeId id) {
   std::scoped_lock lock(mu_);
-  if (id >= node_names_.size() || departed_.contains(id)) return false;
-  departed_.insert(id);
+  // The base has recorded the eviction (and refused a repeated one).
+  if (id >= node_names_.size()) return false;
   handlers_[id] = nullptr;
   // Purge in-flight frames touching the departed node: rebuild the
   // schedule without them, counting each as lost (the socket backend's
@@ -166,8 +167,7 @@ void Network::post(Frame frame) {
     // retransmissions make a scripted heal progress.
     const bool severed = cut_between(frame.src, frame.dst) ||
                          scripted_cut_locked(frame.src, frame.dst) ||
-                         departed_.contains(frame.src) ||
-                         departed_.contains(frame.dst);
+                         evicted(frame.src) || evicted(frame.dst);
     ++total_posted_;
     ++stats_.frames_posted;
     stats_.bytes_posted += frame.payload.size();
@@ -246,7 +246,7 @@ void Network::delivery_loop(const std::stop_token& st) {
     queue_.pop();
     const bool link_idle = leave_link_locked(frame.src, frame.dst);
     Handler handler;
-    if (departed_.contains(frame.src) || departed_.contains(frame.dst)) {
+    if (evicted(frame.src) || evicted(frame.dst)) {
       // Removed after this frame was scheduled but before delivery: the
       // eviction wins (remove_peer purges the queue; this covers the race).
       ++stats_.frames_lost;

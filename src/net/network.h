@@ -27,7 +27,6 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "net/transport.h"
@@ -145,9 +144,11 @@ class Network final : public Transport {
   bool admit_peer(NodeId id, const std::string& name,
                   const std::string& address) override;
 
-  /// Marks `id` departed: frames to or from it — queued, in flight, or
-  /// posted later — are counted lost and is_partitioned() reports it cut,
-  /// exactly what a SocketTransport eviction looks like from the RPC layer.
+  /// Drops a departed node's handler and its queued frames. Its departure
+  /// is the base's eviction record (evicted()), which post and delivery
+  /// read: frames to or from it — queued, in flight, or posted later — are
+  /// counted lost and is_partitioned() reports it cut, exactly what a
+  /// SocketTransport eviction looks like from the RPC layer.
   bool evict_peer(NodeId id) override;
 
   /// Nothing to apply: post() reads the base's cut set and loses every
@@ -186,7 +187,6 @@ class Network final : public Transport {
   std::vector<Handler> handlers_;
   std::vector<std::pair<std::pair<NodeId, NodeId>, LinkLatency>> link_overrides_;
   std::vector<std::pair<std::pair<NodeId, NodeId>, LinkFaults>> fault_overrides_;
-  std::unordered_set<NodeId> departed_;  ///< evicted by remove_peer
   std::vector<PartitionScript> scripted_partitions_;
   std::uint64_t total_posted_ = 0;  // all post() calls, including lost frames
   LinkFaults default_faults_;

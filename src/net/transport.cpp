@@ -17,10 +17,17 @@ void Transport::add_peer(NodeId id, const std::string& name,
 }
 
 bool Transport::remove_peer(NodeId id) {
-  if (!evict_peer(id)) return false;
   {
+    // Recorded before the backend drops the peer, so from here on its
+    // traffic reads as cut on every path (the sim loses it at post and at
+    // delivery by evicted()). An id already evicted is not present.
     std::scoped_lock lock(partition_mu_);
-    evicted_.insert(id);
+    if (!evicted_.insert(id).second) return false;
+  }
+  if (!evict_peer(id)) {
+    std::scoped_lock lock(partition_mu_);
+    evicted_.erase(id);
+    return false;
   }
   // A departed node's named objects fail typed (kObjectNotFound) instead of
   // timing out against a dead address.
@@ -44,6 +51,11 @@ void Transport::mend(NodeId a, NodeId b) {
 bool Transport::cut_between(NodeId a, NodeId b) const {
   std::scoped_lock lock(partition_mu_);
   return cuts_.contains(pair_of(a, b));
+}
+
+bool Transport::evicted(NodeId id) const {
+  std::scoped_lock lock(partition_mu_);
+  return evicted_.contains(id);
 }
 
 bool Transport::is_partitioned(NodeId a, NodeId b) const {

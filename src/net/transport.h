@@ -198,7 +198,8 @@ class Transport {
                           const std::string& address) = 0;
 
   /// Backend half of remove_peer: drops `id` and its traffic; returns
-  /// whether the peer was present.
+  /// whether the peer was present. evicted(id) already reads true, and
+  /// reads false again if this returns false.
   virtual bool evict_peer(NodeId id) = 0;
 
   /// Backend half of cut / mend: applies (`severed`) or lifts a cut on
@@ -209,6 +210,10 @@ class Transport {
   virtual bool link_down(NodeId a, NodeId b) const = 0;
   /// True while a↔b is cut; a leaf lock, safe under backend locks.
   bool cut_between(NodeId a, NodeId b) const;
+  /// True while `id` is evicted: from the moment remove_peer records it,
+  /// before evict_peer runs, until add_peer's admit_peer has returned. The
+  /// same leaf lock as cut_between.
+  bool evicted(NodeId id) const;
 
   /// Backends call this after link src → dst turned from busy to idle,
   /// holding no locks.

@@ -4,9 +4,10 @@
 // start_compatible_pending dispatch paths, deferred-call parking and
 // arrival-order drain, gate fairness (no overtaking of an older incompatible
 // call), interaction with cancellation / deadlines / restart, which thread
-// runs a body (caller-runs dispatch), caller-side admission under the
-// manager's standing order, serial equivalence against the unannotated
-// protocol, and the trace/stats cross-check.
+// runs a body (caller-runs dispatch), kernel admission under the manager's
+// standing orders (at arrival and in a leaving body's epilogue), serial
+// equivalence against the unannotated protocol, and the trace/stats
+// cross-check.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -901,7 +902,7 @@ TEST(Multiactive, ReadBehindARunningWriteWaitsForTheManager) {
   CallHandle w = rig.obj.async_call(rig.write, vals(1));
   ASSERT_TRUE(eventually([&] { return rig.writes_entered.load() == 1; }));
   // The gate is closed: the read attaches and returns to its caller
-  // without running.
+  // without running. The write's epilogue admits it once it leaves.
   CallHandle r = rig.obj.async_call(rig.read, vals(2));
   EXPECT_FALSE(r.ready());
   EXPECT_EQ(rig.reads_entered.load(), 0);
@@ -973,14 +974,26 @@ TEST(Multiactive, GuardedAndSupervisedCallsNeverSelfAdmit) {
 /// Records every trace event in emission order.
 class PhaseLog : public Tracer {
  public:
+  struct Step {
+    std::string entry;
+    std::uint64_t id = 0;
+    CallPhase phase = CallPhase::kArrived;
+  };
+
   void on_event(const TraceEvent& ev) override {
     collector.on_event(ev);
     std::scoped_lock lock(mu_);
     phases_[ev.call_id].push_back(ev.phase);
+    steps_.push_back(Step{ev.entry, ev.call_id, ev.phase});
   }
   std::map<std::uint64_t, std::vector<CallPhase>> phases() const {
     std::scoped_lock lock(mu_);
     return phases_;
+  }
+  /// Every event, in the order the kernel emitted it.
+  std::vector<Step> steps() const {
+    std::scoped_lock lock(mu_);
+    return steps_;
   }
 
   TraceCollector collector;
@@ -988,6 +1001,7 @@ class PhaseLog : public Tracer {
  private:
   mutable std::mutex mu_;
   std::map<std::uint64_t, std::vector<CallPhase>> phases_;
+  std::vector<Step> steps_;
 };
 
 TEST(Multiactive, CallerAdmittedCallsTraceAsTheManagerPath) {
@@ -1091,6 +1105,301 @@ TEST(Multiactive, StandingOrderOnAnUnfitEntryIsAProtocolViolation) {
           << err.what();
     }
     obj.stop();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Kernel admission: orders on every entry, admitted wherever the gate opens
+// ---------------------------------------------------------------------------
+
+/// Read (compatible with itself) and Write (serial group), both
+/// ImplDecl::inline_start and both under the manager's standing order, as
+/// in the multiactive ReadersWritersDb. The manager's arms count the calls
+/// they serve, so a test tells the kernel's admissions from the manager's.
+/// The body tagged kHeld (no other test tag) waits on `release`.
+struct OrderRig {
+  static constexpr std::int64_t kHeld = -1;
+
+  Object obj;
+  EntryRef read, write;
+  Gate ordered, release;
+  std::atomic<int> arm_calls{0}, reads_entered{0}, writes_entered{0};
+  std::atomic<int> reads_active{0}, writes_active{0};
+  std::atomic<bool> overlap_violated{false};
+  std::mutex mu;
+  std::map<std::int64_t, std::thread::id> body_thread;  // by tag
+
+  explicit OrderRig(ObjectOptions opts = ObjectOptions{.pool_workers = 2})
+      : obj("Order", std::move(opts)) {
+    read = obj.define_entry(
+        EntryDecl{.name = "Read", .params = 1, .results = 1}.compatible_with(
+            {"Read"}));
+    write = obj.define_entry(
+        EntryDecl{.name = "Write", .params = 1, .results = 0}.serial_group());
+    obj.implement(read, ImplDecl{.array = 4, .inline_start = true},
+                  [this](BodyCtx& ctx) -> ValueList {
+                    ++reads_active;
+                    if (writes_active.load() > 0) overlap_violated = true;
+                    note(ctx.param(0).as_int());
+                    ++reads_entered;
+                    if (ctx.param(0).as_int() == kHeld) release.wait();
+                    --reads_active;
+                    return {ctx.param(0)};
+                  });
+    obj.implement(write, ImplDecl{.array = 2, .inline_start = true},
+                  [this](BodyCtx& ctx) -> ValueList {
+                    if (++writes_active > 1 || reads_active.load() > 0) {
+                      overlap_violated = true;
+                    }
+                    note(ctx.param(0).as_int());
+                    ++writes_entered;
+                    if (ctx.param(0).as_int() == kHeld) release.wait();
+                    --writes_active;
+                    return {};
+                  });
+    obj.set_manager({intercept(read), intercept(write)}, [this](Manager& m) {
+      m.start_compatible_on_arrival(read);
+      m.start_compatible_on_arrival(write);
+      ordered.open();
+      Select()
+          .on(accept_guard(read).compatible().then([&](Accepted a) {
+            ++arm_calls;
+            m.start_compatible(a);
+            m.start_compatible_pending(read);
+          }))
+          .on(accept_guard(write).compatible().then([&](Accepted a) {
+            ++arm_calls;
+            m.start_compatible(a);
+          }))
+          .loop(m);
+    });
+  }
+
+  void start() {
+    obj.start();
+    ASSERT_TRUE(ordered.wait());
+  }
+
+  void note(std::int64_t tag) {
+    std::scoped_lock lock(mu);
+    body_thread[tag] = std::this_thread::get_id();
+  }
+
+  std::thread::id thread_of(std::int64_t tag) {
+    std::scoped_lock lock(mu);
+    return body_thread[tag];
+  }
+
+  /// Issues Write(kHeld) from a thread of its own, where its body runs
+  /// inside async_call, and returns once the body holds the gate shut.
+  std::thread hold_write() {
+    std::thread t([this] { obj.call(write, vals(kHeld)); });
+    EXPECT_TRUE(eventually([&] { return writes_entered.load() == 1; }));
+    return t;
+  }
+};
+
+/// Calls of `steps` in the given phase, in emission order.
+std::vector<PhaseLog::Step> of_phase(const std::vector<PhaseLog::Step>& steps,
+                                     CallPhase phase) {
+  std::vector<PhaseLog::Step> out;
+  for (const auto& st : steps) {
+    if (st.phase == phase) out.push_back(st);
+  }
+  return out;
+}
+
+/// Position of the event (id, phase) in `steps`, or steps.size().
+std::size_t position(const std::vector<PhaseLog::Step>& steps,
+                     std::uint64_t id, CallPhase phase) {
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    if (steps[i].id == id && steps[i].phase == phase) return i;
+  }
+  return steps.size();
+}
+
+TEST(KernelAdmission, WriteOnAnIdleObjectRunsInsideItsCallersAsyncCall) {
+  OrderRig rig;
+  rig.start();
+  CallHandle w = rig.obj.async_call(rig.write, vals(1));
+  EXPECT_TRUE(w.ready()) << "an admitted inline Write runs before async_call "
+                            "returns";
+  w.get();
+  EXPECT_EQ(rig.thread_of(1), std::this_thread::get_id());
+  const EntryStats st = stats_of(rig.obj, "Write");
+  EXPECT_EQ(st.accepts, 1u);
+  EXPECT_EQ(st.ma_started, 1u);
+  EXPECT_EQ(st.finishes, 1u);
+  EXPECT_EQ(rig.arm_calls.load(), 0);
+  rig.obj.stop();
+}
+
+TEST(KernelAdmission, ReadsBehindAHeldWriteAreAdmittedByItsEpilogue) {
+  OrderRig rig;
+  rig.start();
+  std::thread writer = rig.hold_write();
+  std::vector<CallHandle> reads;
+  for (int i = 0; i < 4; ++i) reads.push_back(rig.obj.async_call(rig.read, vals(i)));
+  for (const CallHandle& h : reads) EXPECT_FALSE(h.ready());
+  EXPECT_EQ(rig.obj.pending(rig.read), 4u);
+  // Each read's caller parks on it, so the epilogue hands it its own body.
+  std::vector<std::thread> waiters;
+  std::vector<std::thread::id> ids(reads.size());
+  for (std::size_t i = 0; i < reads.size(); ++i) {
+    waiters.emplace_back([&, i] {
+      ids[i] = std::this_thread::get_id();
+      EXPECT_EQ(CallHandle(reads[i]).get()[0].as_int(),
+                static_cast<std::int64_t>(i));
+    });
+  }
+  for (const CallHandle& h : reads) ASSERT_TRUE(parked(h, 1));
+  rig.release.open();
+  writer.join();
+  for (auto& t : waiters) t.join();
+  for (std::size_t i = 0; i < reads.size(); ++i) {
+    EXPECT_EQ(rig.thread_of(static_cast<std::int64_t>(i)), ids[i]) << i;
+  }
+  EXPECT_EQ(rig.arm_calls.load(), 0) << "the manager served a read";
+  EXPECT_EQ(stats_of(rig.obj, "Read").accepts, 4u);
+  EXPECT_EQ(rig.obj.pending(rig.read), 0u);
+  EXPECT_FALSE(rig.overlap_violated.load());
+  rig.obj.stop();
+}
+
+TEST(KernelAdmission, EpiloguesAdmitOldestFirstAndNothingOvertakes) {
+  PhaseLog log;
+  OrderRig rig;
+  rig.obj.set_tracer(&log);
+  rig.start();
+  std::thread writer = rig.hold_write();
+  CallHandle r1 = rig.obj.async_call(rig.read, vals(1));
+  CallHandle w2 = rig.obj.async_call(rig.write, vals(2));
+  CallHandle r2 = rig.obj.async_call(rig.read, vals(3));
+  EXPECT_EQ(rig.obj.pending(rig.read), 2u);
+  EXPECT_EQ(rig.obj.pending(rig.write), 1u);
+  rig.release.open();
+  writer.join();
+  EXPECT_EQ(r1.get()[0].as_int(), 1);
+  w2.get();
+  EXPECT_EQ(r2.get()[0].as_int(), 3);
+  rig.obj.stop();
+
+  const auto steps = log.steps();
+  const auto arrived = of_phase(steps, CallPhase::kArrived);
+  ASSERT_EQ(arrived.size(), 4u);
+  const std::uint64_t id_r1 = arrived[1].id, id_w2 = arrived[2].id,
+                      id_r2 = arrived[3].id;
+  // After the held Write: R1, then W2 (R2 would have joined R1's group, but
+  // W2 is older), then R2.
+  const auto started = of_phase(steps, CallPhase::kStarted);
+  ASSERT_EQ(started.size(), 4u);
+  EXPECT_EQ(started[1].id, id_r1);
+  EXPECT_EQ(started[2].id, id_w2);
+  EXPECT_EQ(started[3].id, id_r2);
+  EXPECT_LT(position(steps, id_r1, CallPhase::kFinished),
+            position(steps, id_w2, CallPhase::kStarted))
+      << "W2 started beside R1";
+  EXPECT_LT(position(steps, id_w2, CallPhase::kFinished),
+            position(steps, id_r2, CallPhase::kStarted))
+      << "R2 started beside W2";
+  EXPECT_EQ(rig.arm_calls.load(), 0);
+  EXPECT_FALSE(rig.overlap_violated.load());
+}
+
+TEST(KernelAdmission, GuardedOldestCallStopsTheLoopAndTheManagerServesIt) {
+  PhaseLog log;
+  OrderRig rig;
+  rig.obj.set_tracer(&log);
+  rig.start();
+  std::thread writer = rig.hold_write();
+  CallHandle g = rig.obj.async_call(rig.read, vals(1),
+                                    CallOptions{.deadline = 5000ms});
+  CallHandle w2 = rig.obj.async_call(rig.write, vals(2));
+  CallHandle r2 = rig.obj.async_call(rig.read, vals(3));
+  rig.release.open();
+  writer.join();
+  EXPECT_EQ(g.get()[0].as_int(), 1);
+  w2.get();
+  EXPECT_EQ(r2.get()[0].as_int(), 3);
+  // The guarded read keeps the pool; the manager's read arm admitted it,
+  // and only it: the younger calls waited their turn behind it.
+  EXPECT_NE(rig.thread_of(1), std::this_thread::get_id());
+  EXPECT_EQ(rig.arm_calls.load(), 1);
+  rig.obj.stop();
+
+  const auto steps = log.steps();
+  const auto arrived = of_phase(steps, CallPhase::kArrived);
+  ASSERT_EQ(arrived.size(), 4u);
+  const auto started = of_phase(steps, CallPhase::kStarted);
+  ASSERT_EQ(started.size(), 4u);
+  EXPECT_EQ(started[1].id, arrived[1].id);
+  EXPECT_EQ(started[2].id, arrived[2].id);
+  EXPECT_EQ(started[3].id, arrived[3].id);
+  EXPECT_FALSE(rig.overlap_violated.load());
+}
+
+TEST(KernelAdmission, SupervisedAndSlotBoundObjectsLeaveEveryCallToTheManager) {
+  std::vector<ObjectOptions> kept(4, ObjectOptions{.pool_workers = 2});
+  kept[0].supervision.mode = SupervisionMode::kQuarantine;
+  kept[1].supervision.mode = SupervisionMode::kRestart;
+  kept[2].watchdog = {.enabled = true, .escalate = true};
+  kept[3].model = sched::ProcessModel::kSlotBound;
+  for (ObjectOptions& opts : kept) {
+    OrderRig rig(std::move(opts));
+    rig.start();
+    rig.obj.call(rig.write, vals(1));
+    EXPECT_EQ(rig.obj.call(rig.read, vals(2))[0].as_int(), 2);
+    rig.obj.call(rig.write, vals(3));
+    EXPECT_NE(rig.thread_of(1), std::this_thread::get_id());
+    EXPECT_NE(rig.thread_of(2), std::this_thread::get_id());
+    EXPECT_NE(rig.thread_of(3), std::this_thread::get_id());
+    EXPECT_EQ(rig.arm_calls.load(), 3);
+    rig.obj.stop();
+  }
+}
+
+TEST(KernelAdmission, EveryCallTracesOneTerminalEventAndPendingDrains) {
+  PhaseLog log;
+  OrderRig rig(ObjectOptions{.pool_workers = 2});
+  rig.obj.set_tracer(&log);
+  rig.start();
+  // Four callers mix reads and writes; every seventh call is guarded and
+  // takes the manager's arm, so the kernel's and the manager's admissions
+  // interleave.
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 4; ++t) {
+    callers.emplace_back([&, t] {
+      for (int i = 0; i < 200; ++i) {
+        const std::int64_t tag = t * 1000 + i;
+        const CallOptions opts =
+            i % 7 == 6 ? CallOptions{.deadline = 5000ms} : CallOptions{};
+        if (i % 10 == 9) {
+          rig.obj.call(rig.write, vals(tag), opts);
+        } else {
+          EXPECT_EQ(rig.obj.call(rig.read, vals(tag), opts)[0].as_int(), tag);
+        }
+      }
+    });
+  }
+  for (auto& c : callers) c.join();
+  EXPECT_EQ(rig.obj.pending(rig.read), 0u);
+  EXPECT_EQ(rig.obj.pending(rig.write), 0u);
+  rig.obj.stop();
+  EXPECT_FALSE(rig.overlap_violated.load());
+
+  const std::vector<CallPhase> want = {
+      CallPhase::kArrived, CallPhase::kAttached, CallPhase::kAccepted,
+      CallPhase::kStarted, CallPhase::kFinished};
+  const auto phases = log.phases();
+  EXPECT_EQ(phases.size(), 800u);
+  for (const auto& [id, seen] : phases) {
+    EXPECT_EQ(seen, want) << "call " << id;
+  }
+  log.collector.flush_pending();
+  for (const char* entry : {"Read", "Write"}) {
+    const TraceCollector::EntryReport r = log.collector.report(entry);
+    EXPECT_EQ(r.arrived, r.finished) << entry;
+    EXPECT_EQ(r.failed + r.still_pending + r.unmatched, 0u) << entry;
   }
 }
 

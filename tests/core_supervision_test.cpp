@@ -872,6 +872,13 @@ enum class HeldIn : std::uint8_t {
   /// inline_start body that runs inside the caller's async_call. Only a
   /// fail-fast object admits on arrival, so only the Stop row.
   kCallerAdmittedMultiactive,
+  /// Running multiactive, admitted under the standing order by the
+  /// epilogue of the Holder body it waited behind, and handed to its own
+  /// parked caller. Stop row only.
+  kEpilogueAdmittedParked,
+  /// Admitted by that epilogue while its caller was not parked, so queued
+  /// on a one-worker pool that a Busy body holds. Stop row only.
+  kEpilogueAdmittedPooled,
 };
 
 enum class Teardown : std::uint8_t {
@@ -952,7 +959,8 @@ std::string teardown_case_name(
   static const char* const kStates[] = {
       "Overflow", "Attached",           "Accepted", "Deferred",
       "RunningSerial", "RunningMultiactive", "Ready", "Awaited",
-      "ParkedCallerMultiactive", "CallerAdmittedMultiactive"};
+      "ParkedCallerMultiactive", "CallerAdmittedMultiactive",
+      "EpilogueAdmittedParked", "EpilogueAdmittedPooled"};
   static const char* const kEvents[] = {
       "Stop",           "Quarantine",         "RestartReplay",
       "RestartNoReplay", "QuarantineThenStop", "CancelThenStop",
@@ -985,15 +993,20 @@ class PhaseCounter : public Tracer {
 
 /// Target (one slot) and Holder are serial-group entries, so a Target call
 /// started through start_compatible while Holder runs is deferred. Both
-/// bodies block on `release_`. The first manager incarnation stages the
-/// case, then only accepts Boom, whose handler throws; later incarnations
-/// serve every entry.
+/// bodies block on `release_`, except that in the epilogue-admitted cells
+/// an inline Holder blocks on `holder_release_`, and Busy, an unmanaged
+/// entry, holds the one pool worker of the pooled cell. The first manager
+/// incarnation stages the case, then only accepts Boom, whose handler
+/// throws; later incarnations serve every entry.
 class TeardownRig {
  public:
   explicit TeardownRig(const TeardownCase& c)
       : c_(c),
         obj_("Teardown",
-             ObjectOptions{.supervision = {
+             ObjectOptions{.pool_workers =
+                               c.state == HeldIn::kEpilogueAdmittedPooled ? 1u
+                                                                          : 4u,
+                           .supervision = {
                                .mode = quarantines(c.event)
                                            ? SupervisionMode::kQuarantine
                                        : last_event(c.event) == Teardown::kStop
@@ -1009,20 +1022,29 @@ class TeardownRig {
     holder_ = obj_.define_entry(
         EntryDecl{.name = "Holder", .params = 0, .results = 0}.serial_group());
     boom_ = obj_.define_entry({.name = "Boom", .params = 0, .results = 0});
+    busy_ = obj_.define_entry({.name = "Busy", .params = 0, .results = 0});
     obj_.implement(
         target_,
         ImplDecl{.inline_start = c.state == HeldIn::kCallerAdmittedMultiactive},
         [this](BodyCtx& ctx) -> ValueList {
-          if (entered_.load() == 0) target_thread_ = std::this_thread::get_id();
+          if (target_entered_++ == 0) {
+            target_thread_ = std::this_thread::get_id();
+          }
           ++entered_;
           release_.wait();
           ++exited_;
           return {ctx.param(0)};
         });
-    obj_.implement(holder_, [this](BodyCtx&) -> ValueList {
-      ++entered_;
+    obj_.implement(holder_, ImplDecl{.inline_start = epilogue_admitted()},
+                   [this](BodyCtx&) -> ValueList {
+                     ++entered_;
+                     (epilogue_admitted() ? holder_release_ : release_).wait();
+                     ++exited_;
+                     return {};
+                   });
+    obj_.implement(busy_, [this](BodyCtx&) -> ValueList {
+      busy_entered_.open();
       release_.wait();
-      ++exited_;
       return {};
     });
     obj_.implement(boom_, [](BodyCtx&) -> ValueList { return {}; });
@@ -1083,6 +1105,11 @@ class TeardownRig {
       case HeldIn::kCallerAdmittedMultiactive:
         m.start_compatible_on_arrival(target_);
         return;
+      case HeldIn::kEpilogueAdmittedParked:
+      case HeldIn::kEpilogueAdmittedPooled:
+        m.start_compatible_on_arrival(target_);
+        m.start_compatible_on_arrival(holder_);
+        return;
       case HeldIn::kAwaited: {
         Accepted a = m.accept(target_);
         m.start(a);
@@ -1104,7 +1131,11 @@ class TeardownRig {
       case HeldIn::kRunningMultiactive:
       case HeldIn::kParkedCallerMultiactive:
       case HeldIn::kCallerAdmittedMultiactive:
-        return entered_.load() == 1;
+      case HeldIn::kEpilogueAdmittedParked:
+        return target_entered_.load() == 1;
+      case HeldIn::kEpilogueAdmittedPooled:
+        // Launched, behind Busy on the pool's one worker.
+        return phases_.count("Target", CallPhase::kStarted) == 1;
       case HeldIn::kReady:
         return phases_.count("Target", CallPhase::kReady) == 1;
       case HeldIn::kAccepted:
@@ -1115,13 +1146,18 @@ class TeardownRig {
     return false;
   }
 
+  bool epilogue_admitted() const {
+    return c_.state == HeldIn::kEpilogueAdmittedParked ||
+           c_.state == HeldIn::kEpilogueAdmittedPooled;
+  }
+
   TeardownCase c_;
-  EntryRef target_, holder_, boom_;
+  EntryRef target_, holder_, boom_, busy_;
   PhaseCounter phases_;
   std::atomic<int> incarnations_{0};
-  std::atomic<int> entered_{0}, exited_{0};
+  std::atomic<int> entered_{0}, exited_{0}, target_entered_{0};
   std::atomic<std::thread::id> target_thread_{};  // of the first Target body
-  Gate staged_, release_, caller_parked_;
+  Gate staged_, release_, caller_parked_, holder_release_, busy_entered_;
   Object obj_;  // last: stopped before the state its threads use goes away
 };
 
@@ -1146,6 +1182,25 @@ TEST_P(TeardownTableTest, HeldCallMeetsItsCell) {
   std::atomic<std::thread::id> admitting_id{};
   std::atomic<bool> admitting_returned{false};
   std::optional<ErrorCode> admitting_got;
+  // An epilogue-admitted cell holds the gate shut with an inline Holder
+  // body on a thread of its own, attaches the held call behind it, and
+  // opens the gate: the Holder's epilogue admits the call.
+  std::optional<std::thread> holding_caller;
+  std::optional<ErrorCode> holding_got;
+  std::optional<CallHandle> busy;
+  if (rig.epilogue_admitted()) {
+    ASSERT_TRUE(rig.staged_.wait());
+    if (c.state == HeldIn::kEpilogueAdmittedPooled) {
+      busy = rig.obj_.async_call(rig.busy_, {});
+      ASSERT_TRUE(rig.busy_entered_.wait());
+    }
+    holding_caller.emplace([&] {
+      holding_got = outcome_of(rig.obj_.async_call(rig.holder_, {}));
+    });
+    ASSERT_TRUE(eventually([&] { return rig.entered_.load() == 1; }));
+    held.push_back(rig.obj_.async_call(rig.target_, {Value(2)}));
+    EXPECT_FALSE(held.back().ready());
+  }
   if (c.state == HeldIn::kCallerAdmittedMultiactive) {
     ASSERT_TRUE(rig.staged_.wait());
     admitting_caller.emplace([&] {
@@ -1154,7 +1209,7 @@ TEST_P(TeardownTableTest, HeldCallMeetsItsCell) {
       admitting_got = outcome_of(h);
       admitting_returned = true;
     });
-  } else {
+  } else if (!rig.epilogue_admitted()) {
     held.push_back(rig.obj_.async_call(
         rig.target_, {Value(2)},
         cancels(c.event) ? CallOptions{.cancel = cancel} : CallOptions{}));
@@ -1167,7 +1222,8 @@ TEST_P(TeardownTableTest, HeldCallMeetsItsCell) {
   std::atomic<std::thread::id> parked_id{};
   std::atomic<bool> parked_returned{false};
   std::optional<ErrorCode> parked_got;
-  if (c.state == HeldIn::kParkedCallerMultiactive) {
+  if (c.state == HeldIn::kParkedCallerMultiactive ||
+      c.state == HeldIn::kEpilogueAdmittedParked) {
     parked_caller.emplace([&, h = held.back()] {
       parked_id = std::this_thread::get_id();
       parked_got = outcome_of(h);
@@ -1176,6 +1232,11 @@ TEST_P(TeardownTableTest, HeldCallMeetsItsCell) {
     ASSERT_TRUE(
         eventually([&] { return held.back().state()->waiters() == 1; }));
     rig.caller_parked_.open();
+  }
+  if (holding_caller) {
+    rig.holder_release_.open();
+    holding_caller->join();
+    EXPECT_EQ(holding_got, std::nullopt);
   }
   ASSERT_TRUE(rig.staged_.wait());
   ASSERT_TRUE(eventually([&] { return rig.staged(held.size()); }));
@@ -1188,6 +1249,9 @@ TEST_P(TeardownTableTest, HeldCallMeetsItsCell) {
   }
   if (admitting_caller) {
     EXPECT_EQ(rig.target_thread_.load(), admitting_id.load());
+  }
+  if (busy) {
+    EXPECT_EQ(rig.target_entered_.load(), 0) << "ran beside the Busy body";
   }
 
   // An "already failed" row fails the held call before its last event.
@@ -1260,6 +1324,11 @@ TEST_P(TeardownTableTest, HeldCallMeetsItsCell) {
     EXPECT_EQ(holder_got,
               table_outcome(HeldIn::kRunningMultiactive, c.event));
   }
+  if (busy) {
+    // The pool ran the queued body while stop() drained it.
+    EXPECT_EQ(outcome_of(*busy), std::nullopt);
+    EXPECT_EQ(rig.target_entered_.load(), 1);
+  }
 
   const bool restart = c.event == Teardown::kRestartReplay ||
                        c.event == Teardown::kRestartNoReplay;
@@ -1295,6 +1364,8 @@ std::vector<TeardownCase> all_teardown_cases() {
     }
   }
   out.push_back({HeldIn::kCallerAdmittedMultiactive, Teardown::kStop});
+  out.push_back({HeldIn::kEpilogueAdmittedParked, Teardown::kStop});
+  out.push_back({HeldIn::kEpilogueAdmittedPooled, Teardown::kStop});
   out.push_back({HeldIn::kRunningSerial, Teardown::kQuarantineThenStop});
   for (HeldIn s : {HeldIn::kAccepted, HeldIn::kRunningSerial, HeldIn::kReady,
                    HeldIn::kAwaited}) {
