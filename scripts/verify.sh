@@ -36,11 +36,13 @@ if [[ "${1:-}" == "--stress" ]]; then
   # (reads and writes started by their own callers, or by the body whose
   # epilogue lets them in) with no manager turn. Two cores is where an
   # epilogue most often admits a call whose caller sits between async_call
-  # and its wait, so those two suites also run pinned to two cores.
+  # and its wait, so those two suites also run pinned to two cores, with
+  # the supervision suite, whose teardown rows stop an object under an
+  # epilogue-admitted or caller-admitted multiactive body.
   STRESS_SUITES=(net_socket_test net_routing_test core_object_test
                  core_property_test core_supervision_test
                  core_multiactive_test apps_test)
-  ADMISSION_SUITES=(core_multiactive_test apps_test)
+  ADMISSION_SUITES=(core_supervision_test core_multiactive_test apps_test)
   cmake -B build -S . \
     -DALPS_SUITE_TARGETS="$(IFS=';'; echo "${STRESS_SUITES[*]}")" >/dev/null
   cmake --build build -j "$JOBS" --target suites

@@ -31,9 +31,9 @@ Dictionary::Dictionary(std::vector<std::string> words, Options options)
 
   // --- implementation: Search[1..SearchMax] ---
   // Without simulated search time the body is one hash lookup that cannot
-  // block, so the serial manager's start runs it inline (DESIGN.md §4.13);
-  // a sleeping body stays pooled so searches overlap. The multiactive
-  // manager's start_compatible ignores the declaration.
+  // block, so the serial manager's start runs it inline (DESIGN.md §4.13),
+  // and so does the caller of a multiactive search the kernel admits in
+  // its async_call (§4.8); a sleeping body stays pooled so searches overlap.
   obj_.implement(search_,
                  ImplDecl{.array = options_.search_max,
                           .inline_start = options_.search_time.count() == 0},
@@ -55,19 +55,20 @@ Dictionary::Dictionary(std::vector<std::string> words, Options options)
   if (options_.multiactive) {
     // --- manager: compat-gated dispatch. The annotations carry the whole
     // exclusion protocol; no combining (searches launch without the await
-    // turn combining hooks into).
+    // turn combining hooks into). Each arm only starts its calls, so the
+    // manager leaves both entries to the kernel with a standing order, as
+    // the multiactive ReadersWritersDb does, and serves what the kernel
+    // leaves: guarded calls (a deadline or a cancel token) and the calls
+    // queued behind one.
     obj_.set_manager(
         {intercept(search_), intercept(insert_)}, [this](Manager& m) {
+          m.start_compatible_on_arrival(search_);
+          m.start_compatible_on_arrival(insert_);
           Select()
-              .on(accept_guard(search_).compatible().then([&, this](
-                                                              Accepted a) {
-                ++requests_;
-                m.start_compatible(a);
-                requests_ += m.start_compatible_pending(search_);
-              }))
-              .on(accept_guard(insert_).compatible().then([&](Accepted a) {
-                m.start_compatible(a);
-              }))
+              .on(accept_guard(search_).compatible().then(
+                  [&](Accepted a) { m.start_compatible(a); }))
+              .on(accept_guard(insert_).compatible().then(
+                  [&](Accepted a) { m.start_compatible(a); }))
               .loop(m);
         });
     obj_.start();
@@ -172,8 +173,9 @@ CallHandle Dictionary::async_insert(const std::string& word,
 }
 
 Dictionary::Stats Dictionary::stats() const {
-  return Stats{requests_.load(), executed_.load(), combined_.load(),
-               inserts_.load()};
+  const std::uint64_t executed = executed_.load();
+  return Stats{options_.multiactive ? executed : requests_.load(), executed,
+               combined_.load(), inserts_.load()};
 }
 
 // ---- ShardedDictionary -----------------------------------------------------

@@ -48,7 +48,8 @@ class Dictionary {
     bool combining = true;
     /// Multiactive scheduling (DESIGN.md §4.8): Search is annotated
     /// compatible with itself, Insert conflicts with everything, and the
-    /// manager dispatches through compat-gated guards + start_compatible.
+    /// manager leaves both to the kernel with standing orders, serving
+    /// guarded calls through compat-gated guards + start_compatible.
     /// false = the paper's serial manager with request combining.
     bool multiactive = false;
     /// Name the kernel object registers under (distinguishes multiple
@@ -58,6 +59,8 @@ class Dictionary {
     std::size_t pool_workers = 8;
   };
 
+  /// Multiactive: every accepted search runs its own body, so `requests`
+  /// reads `executed` and `combined` stays 0.
   struct Stats {
     std::uint64_t requests = 0;   ///< Search calls accepted
     std::uint64_t executed = 0;   ///< bodies actually run

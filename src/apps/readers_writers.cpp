@@ -83,9 +83,6 @@ ReadersWritersDb::ReadersWritersDb(Options options)
       Select()
           .on(accept_guard(read_).compatible().then([&](Accepted a) {
             m.start_compatible(a);
-            // Drain any reads that piled up while we slept — one batch,
-            // one lock, one executor wakeup.
-            m.start_compatible_pending(read_);
           }))
           .on(accept_guard(write_).compatible().then([&](Accepted a) {
             m.start_compatible(a);

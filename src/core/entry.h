@@ -74,8 +74,7 @@ struct ImplDecl {
   /// manager's standing order (Manager::start_compatible_on_arrival), runs
   /// it on the calling thread before async_call returns; one admitted by a
   /// leaving body runs on its parked caller or the pool (§4.8). Off: the
-  /// paper's asynchronous start. start_compatible and
-  /// start_compatible_pending ignore it.
+  /// paper's asynchronous start. start_compatible ignores it.
   bool inline_start = false;
 };
 

@@ -276,42 +276,6 @@ void Manager::start_compatible(const Accepted& a) {
   if (!launch.empty()) obj_->launch_bodies(std::move(launch));
 }
 
-std::size_t Manager::start_compatible_pending(EntryRef entry) {
-  // Batched accept+start_compatible: under ONE lock acquisition, accept and
-  // launch attached calls of `entry` while the compat gate stays open (the
-  // gate closes when an incompatible group is in flight or an older
-  // incompatible call is waiting its turn). A body whose caller is parked
-  // runs on that caller; the rest cost one executor wakeup for the whole
-  // batch — this is the multiactive fast path.
-  assert_manager_thread("start_compatible_pending");
-  Object::EntryCore& e = obj_->core_checked(entry, "start_compatible_pending");
-  if (!e.intercepted) {
-    raise(ErrorCode::kProtocolViolation,
-          "start_compatible_pending on non-intercepted entry " + e.decl.name);
-  }
-  std::vector<Object::BodyLaunch> launch;
-  std::size_t n = 0;
-  {
-    std::scoped_lock lock(obj_->mu_);
-    obj_->drain_intake_locked();
-    check_stop();
-    const std::size_t idx = entry.index();
-    check_compat_path(idx, "start_compatible_pending");
-    while (!e.attached.empty() && obj_->compat_gate_open_locked(idx)) {
-      const std::size_t slot_idx = e.attached.front();
-      obj_->accept_locked(idx, slot_idx);
-      Object::Slot& s = e.slots[slot_idx];
-      ValueList full = std::move(s.call->params);
-      s.call->params.clear();
-      obj_->ma_start_locked(idx, slot_idx, std::move(full), launch);
-      ++n;
-    }
-    if (n > 0) obj_->note_progress();
-  }
-  if (!launch.empty()) obj_->launch_bodies(std::move(launch));
-  return n;
-}
-
 void Manager::start_compatible_on_arrival(EntryRef entry) {
   // Checked under the kernel lock: a thread that stop() or an escalation
   // retires (and so withdraws its orders) cannot record one afterwards.
@@ -323,7 +287,6 @@ void Manager::start_compatible_on_arrival(EntryRef entry) {
   check_compat_path(entry.index(), "start_compatible_on_arrival");
   check_stop();
   e.admit_on_arrival.store(true, std::memory_order_relaxed);
-  if (obj_->callers_run_bodies_) obj_->standing_orders_ = true;
 }
 
 Awaited Manager::await(EntryRef entry) {

@@ -92,16 +92,8 @@ class Manager {
   /// entry must carry compatibility annotations and must not declare hidden
   /// params/results (those need the await/finish round-trip). The body runs
   /// on the pool, or on its caller if that caller is parked waiting for it;
-  /// ImplDecl::inline_start is ignored here and by start_compatible_pending.
+  /// ImplDecl::inline_start is ignored here.
   void start_compatible(const Accepted& a);
-
-  /// Batched accept + start_compatible: accepts attached calls of `entry`
-  /// in arrival order and launches each, for as long as the compat gate
-  /// stays open (no incompatible group in flight and no older incompatible
-  /// call waiting its turn). The whole batch costs one kernel-lock
-  /// acquisition and one executor wakeup. Returns the number launched
-  /// (0 when nothing was attached or the gate is closed).
-  std::size_t start_compatible_pending(EntryRef entry);
 
   /// A standing order for this manager incarnation: from now on the kernel
   /// accepts and starts every unguarded call of `entry` itself, whenever
@@ -120,12 +112,14 @@ class Manager {
   /// launches as start_compatible's would, so a parked caller runs its own.
   /// Keep serving the entry (an accept guard with `.compatible()`): the arm
   /// serves only what the kernel leaves, guarded calls and the calls behind
-  /// a call only the manager may take, and the kernel wakes the manager
-  /// for those. Every call of a supervised or slot-bound object always
-  /// takes the manager path. The order ends when this incarnation exits or
-  /// is retired. Issue it only if the manager would start every such call
-  /// at once anyway: the kernel cannot see what the accept arm does besides
-  /// starting the call. Same refusals as start_compatible.
+  /// a call only the manager may take. The kernel wakes the manager when
+  /// some participant's oldest attached call is one only the manager may
+  /// take and its gate is open. Every call of a supervised or slot-bound
+  /// object always takes the manager path. The order ends when this
+  /// incarnation exits or is retired. Issue it only if the manager would
+  /// start every such call at once anyway: the kernel cannot see what the
+  /// accept arm does besides starting the call. Same refusals as
+  /// start_compatible.
   void start_compatible_on_arrival(EntryRef entry);
 
   // ---- await ----

@@ -371,7 +371,6 @@ void Object::clear_arrival_orders_locked() {
   for (auto& ep : entries_) {
     ep->admit_on_arrival.store(false, std::memory_order_relaxed);
   }
-  standing_orders_ = false;
 }
 
 bool Object::running() const {
@@ -837,20 +836,12 @@ void Object::run_body(std::size_t entry_idx, std::size_t slot_idx,
       // Compat-path epilogue: the kernel completes the caller itself
       // (no await/finish round-trip through the manager), retires the
       // group occupancy and launches any deferred calls that the
-      // departure unblocked.
-      //
-      // Under a standing order this thread then admits what its leaving
-      // let in (admit_standing_locked), and wakes the manager only for
-      // what the kernel may not take. Without one, the manager is woken
-      // only when this completion changes what it can do: the group
-      // drained while a participant has attached calls (a closed compat
-      // gate may now be open). Either way the freed slot re-attaching an
-      // overflow call wakes it. A plain completion needs no manager turn
-      // at all — that is the multiactive throughput win.
-      wake_mgr = false;
-      --ec.ma_running;
-      const bool drained = ec.ma_running == 0;
-      if (drained) ++compat_gen_;
+      // departure unblocked. This thread then admits what its leaving
+      // let in under the standing orders (admit_standing_locked), and
+      // wakes the manager only for what the kernel leaves to it, or
+      // when the object is stopping. A plain completion needs no manager
+      // turn at all — that is the multiactive throughput win.
+      if (--ec.ma_running == 0) ++compat_gen_;
       --ma_total_running_;
       ++ec.finishes;
       if (!s.discard_on_ready && !s.abandoned) {
@@ -859,20 +850,10 @@ void Object::run_body(std::size_t entry_idx, std::size_t slot_idx,
               err ? CallPhase::kFailed : CallPhase::kFinished);
         if (!err) final_results = std::move(out);
       }
-      if (!ec.overflow.empty()) wake_mgr = true;  // release re-attaches
       release_slot_locked(entry_idx, slot_idx);
       drain_deferred_locked(launch);
-      if (standing_orders_) {
-        if (admit_standing_locked(launch)) wake_mgr = true;
-      } else if (drained) {
-        for (std::size_t idx : compat_participants_) {
-          if (!entries_[idx]->attached.empty()) {
-            wake_mgr = true;
-            break;
-          }
-        }
-      }
-      if (stopping_.load(std::memory_order_relaxed)) wake_mgr = true;
+      wake_mgr = admit_standing_locked(launch) ||
+                 stopping_.load(std::memory_order_relaxed);
     } else if (s.discard_on_ready) {
       // No manager will ever await this body (quarantine, or a
       // restart that could not replay a started call): the caller was
@@ -1021,10 +1002,16 @@ bool Object::admissible_on_arrival_locked(std::size_t i) const {
 }
 
 bool Object::admit_standing_locked(std::vector<BodyLaunch>& out) {
-  if (!callers_run_bodies_ || stopping_.load(std::memory_order_acquire) ||
-      down_.load(std::memory_order_acquire)) {
-    return false;
-  }
+  // Whether the kernel may take e's oldest attached call: an unguarded call
+  // of an entry under an order, on an object whose callers may run bodies
+  // and that is neither stopping nor down.
+  const bool admits = callers_run_bodies_ &&
+                      !stopping_.load(std::memory_order_acquire) &&
+                      !down_.load(std::memory_order_acquire);
+  auto kernel_takes = [admits](const EntryCore& e) {
+    return admits && e.admit_on_arrival.load(std::memory_order_relaxed) &&
+           !e.slots[e.attached.front()].call->guarded;
+  };
   for (;;) {
     // Oldest first across participants (call ids rise with arrival), and
     // stop at the first call the kernel may not take: no call overtakes an
@@ -1042,26 +1029,29 @@ bool Object::admit_standing_locked(std::vector<BodyLaunch>& out) {
     }
     if (ei == kNoSlot) return false;
     EntryCore& e = core(ei);
+    if (!kernel_takes(e) || !admissible_on_arrival_locked(ei)) break;
     const std::size_t slot_idx = e.attached.front();
     Slot& s = e.slots[slot_idx];
-    if (!e.admit_on_arrival.load(std::memory_order_relaxed) ||
-        s.call->guarded) {
-      // The manager's call. Its gate closes only on running or deferred
-      // work (nothing older is attached), and the epilogue of that work
-      // comes back here.
-      return compat_gate_open_locked(ei);
-    }
-    if (!admissible_on_arrival_locked(ei)) {
-      // A running body's epilogue comes back here once it leaves. With
-      // none running, the gate is held by a call the manager accepted, and
-      // only the manager moves it.
-      return ma_total_running_ == 0;
-    }
     accept_locked(ei, slot_idx);
     ValueList full = std::move(s.call->params);
     s.call->params.clear();
     ma_start_locked(ei, slot_idx, std::move(full), out);
   }
+  // What is left, judged per participant by its oldest attached call. The
+  // manager's call wakes it once its gate is open. A closed gate opens only
+  // when running or deferred work leaves, and that epilogue comes back
+  // here, or when an older call it waits behind is taken, which this
+  // answer judges too. The kernel's call waits for a running body's
+  // epilogue; with none running, its gate is held by a call the manager
+  // accepted, and only the manager moves it.
+  for (std::size_t j : compat_participants_) {
+    if (entries_[j]->attached.empty()) continue;
+    if (kernel_takes(*entries_[j]) ? ma_total_running_ == 0
+                                   : compat_gate_open_locked(j)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 void Object::ma_start_locked(std::size_t entry_idx, std::size_t slot_idx,

@@ -613,11 +613,13 @@ class Object {
   /// §4.8), run wherever the compat gate can open: at an arrival and in a
   /// multiactive body's epilogue. Accepts and starts the oldest attached
   /// call of any participant, appending its launch to `out`, until the
-  /// oldest left has no order, is guarded, or is not admissible. Returns
-  /// whether the manager must be woken for what is left: a call only it
-  /// may take whose gate is open, or a closed gate that no running body's
-  /// epilogue will come back to. No-op (false) unless callers may run
-  /// bodies and the object is neither stopping nor down. Requires mu_.
+  /// oldest left has no order, is guarded, or is not admissible. Admits
+  /// nothing unless callers may run bodies and the object is neither
+  /// stopping nor down, but answers either way: whether the manager must
+  /// be woken for what is left, judged per participant by its oldest
+  /// attached call. It must be for a call only it may take whose gate is
+  /// open, and for a kernel's call the gate refuses while no body runs
+  /// (a call the manager accepted holds the gate). Requires mu_.
   bool admit_standing_locked(std::vector<BodyLaunch>& out);
   /// Marks an accepted slot Running on the compat path (counters, occupancy
   /// transitions, kStarted trace with the realized concurrency level) and
@@ -689,12 +691,6 @@ class Object {
   /// slot-bound one, whose slots keep their one process each. Fixed at
   /// construction.
   bool callers_run_bodies_ = false;
-  /// Some entry holds a standing order the kernel applies (an order issued
-  /// on an object whose callers may run bodies). A multiactive epilogue
-  /// then runs admit_standing_locked; otherwise it keeps the plain wake
-  /// rule. Guarded by mu_; set by start_compatible_on_arrival, cleared with
-  /// the orders.
-  bool standing_orders_ = false;
   Tracer* tracer_ = nullptr;
   std::atomic<std::uint64_t> next_call_id_{1};
   std::unique_ptr<sched::Executor> executor_;

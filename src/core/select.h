@@ -81,8 +81,7 @@ struct AcceptGuard {
   /// keyed on the object's compat generation and re-derived only when that
   /// moves (occupancy transitions, participant queue changes) — never by a
   /// per-pass rescan. The entry must carry compatibility annotations; pair
-  /// the guard's `then` with Manager::start_compatible (or
-  /// start_compatible_pending).
+  /// the guard's `then` with Manager::start_compatible.
   AcceptGuard&& compatible() && {
     compat_gate = true;
     return std::move(*this);

@@ -347,6 +347,94 @@ TEST(Dictionary, NonStringSearchOverRpcFailsTypedAndManagerSurvives) {
 }
 
 // ---------------------------------------------------------------------------
+// §2.7.1 dictionary, multiactive: the kernel admits searches and inserts
+// under the manager's standing orders (DESIGN.md §4.8)
+// ---------------------------------------------------------------------------
+
+TEST(Dictionary, MultiactiveShortSearchRunsOnItsCaller) {
+  // An inline_start search admitted in its caller's async_call runs there:
+  // no body is handed to the pool.
+  Dictionary dict(support::make_word_list(4),
+                  {.multiactive = true, .object_name = "DictMulti"});
+  EXPECT_LT(pool_wakeups_over_searches(dict, "DictMulti"),
+            kSequentialSearches / 10);
+  const Dictionary::Stats st = dict.stats();
+  EXPECT_EQ(st.executed, kSequentialSearches);
+  EXPECT_EQ(st.requests, st.executed);
+  EXPECT_EQ(st.combined, 0u);
+}
+
+TEST(Dictionary, MultiactiveSearchesAndInsertsReturnCorrectMeanings) {
+  const auto words = support::make_word_list(64);
+  Dictionary dict(words, {.search_max = 4, .multiactive = true});
+  constexpr int kThreads = 4, kRounds = 200;
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kThreads; ++t) {
+    callers.emplace_back([&, t] {
+      for (int i = 0; i < kRounds; ++i) {
+        const std::string& w = words[(t * 31 + i) % words.size()];
+        EXPECT_EQ(dict.search(w), "meaning of " + w);
+        if (i % 10 == 0) {
+          // Each caller defines words of its own, then reads them back.
+          const std::string fresh =
+              "new" + std::to_string(t) + "_" + std::to_string(i);
+          dict.insert(fresh, "defined by " + std::to_string(t));
+          EXPECT_EQ(dict.search(fresh), "defined by " + std::to_string(t));
+        }
+      }
+    });
+  }
+  for (auto& c : callers) c.join();
+  const Dictionary::Stats st = dict.stats();
+  const std::uint64_t inserts = kThreads * (kRounds / 10);
+  EXPECT_EQ(st.inserts, inserts);
+  EXPECT_EQ(st.executed, kThreads * kRounds + inserts);
+  EXPECT_EQ(st.requests, st.executed);
+  EXPECT_EQ(st.combined, 0u);
+  EXPECT_EQ(dict.object().pending(dict.object().entry("Search")), 0u);
+  EXPECT_EQ(dict.object().manager_error(), nullptr);
+}
+
+// With no kind check in front of it, the body's own read of the word fails
+// the call. A call with a deadline is guarded, so the manager's arm starts
+// it; one without is admitted by the kernel in its caller's async_call.
+TEST(Dictionary, MultiactiveNonStringSearchFailsTypedAndLaterOnesSucceed) {
+  Dictionary dict(support::make_word_list(4), {.multiactive = true});
+  const CallOptions guarded{.deadline = std::chrono::seconds(5)};
+  for (const CallOptions& opts : {CallOptions{}, guarded}) {
+    CallHandle bad = dict.object().async_call("Search", {Value(42)}, opts);
+    try {
+      bad.get();
+      ADD_FAILURE() << "a non-string Search must fail";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kTypeMismatch);
+    }
+    CallHandle good = dict.object().async_call("Search", vals("w000001"), opts);
+    EXPECT_EQ(good.get()[0].as_string(), "meaning of w000001");
+  }
+  EXPECT_EQ(dict.object().manager_error(), nullptr);
+  EXPECT_EQ(dict.stats().requests, 4u);
+}
+
+TEST(Dictionary, MultiactiveNonStringSearchOverRpcFailsTypedAndLaterOnesSucceed) {
+  Dictionary dict(support::make_word_list(4), {.multiactive = true});
+  net::Network network(net::LinkLatency{std::chrono::microseconds(50), {}});
+  net::Node client(network, "client");
+  net::Node server(network, "server");
+  server.host(dict.object());
+  net::CallOptions opts;
+  opts.deadline = std::chrono::seconds(5);
+
+  auto bad = client.call("Dictionary", "Search", {Value(42)}, opts);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.error().cause(), net::RpcCause::kRemoteError);
+  auto good = client.call("Dictionary", "Search", vals("w000001"), opts);
+  ASSERT_TRUE(good.ok()) << good.error().what();
+  EXPECT_EQ(good.value()[0].as_string(), "meaning of w000001");
+  EXPECT_EQ(dict.object().manager_error(), nullptr);
+}
+
+// ---------------------------------------------------------------------------
 // §2.8.1 printer spooler
 // ---------------------------------------------------------------------------
 

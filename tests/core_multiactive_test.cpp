@@ -1,13 +1,13 @@
 // Multiactive objects (DESIGN.md §4.8): compatibility-group scheduling for
 // intra-object parallelism. Covers the annotation surface (compatible_with /
-// serial_group and their validation at start()), the start_compatible /
-// start_compatible_pending dispatch paths, deferred-call parking and
-// arrival-order drain, gate fairness (no overtaking of an older incompatible
-// call), interaction with cancellation / deadlines / restart, which thread
-// runs a body (caller-runs dispatch), kernel admission under the manager's
-// standing orders (at arrival and in a leaving body's epilogue), serial
-// equivalence against the unannotated protocol, and the trace/stats
-// cross-check.
+// serial_group and their validation at start()), start_compatible
+// dispatch, deferred-call parking and arrival-order drain, gate fairness
+// (no overtaking of an older incompatible call), interaction with
+// cancellation / deadlines / restart, which thread runs a body
+// (caller-runs dispatch), kernel admission under the manager's standing
+// orders (at arrival and in a leaving body's epilogue), the epilogue's
+// manager wake, serial equivalence against the unannotated protocol, and
+// the trace/stats cross-check.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -137,7 +137,6 @@ struct CompatRig {
         Select()
             .on(accept_guard(read).compatible().then([&](Accepted a) {
               m.start_compatible(a);
-              m.start_compatible_pending(read);
             }))
             .on(accept_guard(write).compatible().then([&](Accepted a) {
               m.start_compatible(a);
@@ -284,6 +283,66 @@ TEST(Multiactive, GateFairnessLaterReadsDoNotOvertakeOlderWrite) {
   EXPECT_EQ(rig.order[1], 1) << "write must start before the later reads";
   EXPECT_FALSE(rig.overlap_violated.load());
   rig.obj.stop();
+}
+
+TEST(Multiactive, EpilogueWakesTheManagerForAnOpenGateBehindAClosedOne) {
+  // A and B may overlap each other but not themselves, and neither has a
+  // standing order, so every call is the manager's. The oldest attached
+  // call's gate can stay shut while a younger one's opens: the epilogue
+  // that opens it must wake the manager.
+  struct Attaches : Tracer {
+    std::atomic<int> n{0};
+    void on_event(const TraceEvent& ev) override {
+      if (ev.phase == CallPhase::kAttached) ++n;
+    }
+  } attaches;
+  Gate release_a1, release_b1;
+  std::atomic<int> entered{0};
+  Object obj("Pairs", ObjectOptions{.pool_workers = 4});
+  EntryRef a = obj.define_entry(
+      EntryDecl{.name = "A", .params = 1, .results = 0}.compatible_with(
+          {"B"}));
+  EntryRef b = obj.define_entry({.name = "B", .params = 1, .results = 0});
+  auto body = [&](BodyCtx& ctx) -> ValueList {
+    ++entered;
+    if (ctx.param(0).as_int() == 1) release_a1.wait();
+    if (ctx.param(0).as_int() == 2) release_b1.wait();
+    return {};
+  };
+  obj.implement(a, ImplDecl{.array = 2}, body);
+  obj.implement(b, ImplDecl{.array = 2}, body);
+  obj.set_manager({intercept(a), intercept(b)}, [&](Manager& m) {
+    Select()
+        .on(accept_guard(a).compatible().then(
+            [&](Accepted x) { m.start_compatible(x); }))
+        .on(accept_guard(b).compatible().then(
+            [&](Accepted x) { m.start_compatible(x); }))
+        .loop(m);
+  });
+  obj.set_tracer(&attaches);
+  obj.start();
+  CallHandle a1 = obj.async_call(a, vals(1));
+  CallHandle b1 = obj.async_call(b, vals(2));
+  ASSERT_TRUE(eventually([&] { return entered.load() == 2; }));
+  CallHandle a2 = obj.async_call(a, vals(3));
+  CallHandle b2 = obj.async_call(b, vals(4));
+  // The manager attaches both, finds both gates shut and sleeps.
+  ASSERT_TRUE(eventually([&] { return attaches.n.load() == 4; }));
+  std::this_thread::sleep_for(20ms);
+  EXPECT_EQ(obj.pending(a), 1u);
+  EXPECT_EQ(obj.pending(b), 1u);
+  release_b1.open();
+  b1.get();
+  ASSERT_TRUE(eventually([&] { return b2.ready(); }))
+      << "B2's gate opened when B1 left, but the manager slept";
+  b2.get();
+  EXPECT_FALSE(a1.ready());
+  EXPECT_FALSE(a2.ready());
+  release_a1.open();
+  a1.get();
+  a2.get();
+  EXPECT_EQ(entered.load(), 4);
+  obj.stop();
 }
 
 // ---------------------------------------------------------------------------
@@ -827,7 +886,6 @@ struct AdmitRig {
           Select()
               .on(accept_guard(read).compatible().then([&](Accepted a) {
                 m.start_compatible(a);
-                m.start_compatible_pending(read);
               }))
               .on(accept_guard(write).compatible().then(
                   [&](Accepted a) { m.start_compatible(a); }))
@@ -1115,8 +1173,10 @@ TEST(Multiactive, StandingOrderOnAnUnfitEntryIsAProtocolViolation) {
 /// Read (compatible with itself) and Write (serial group), both
 /// ImplDecl::inline_start and both under the manager's standing order, as
 /// in the multiactive ReadersWritersDb. The manager's arms count the calls
-/// they serve, so a test tells the kernel's admissions from the manager's.
-/// The body tagged kHeld (no other test tag) waits on `release`.
+/// they serve, so a test tells the kernel's admissions from the manager's,
+/// and `passes` counts its select passes: an unannotated `when` guard that
+/// is never true re-runs on each one. The body tagged kHeld (no other test
+/// tag) waits on `release`.
 struct OrderRig {
   static constexpr std::int64_t kHeld = -1;
 
@@ -1124,7 +1184,7 @@ struct OrderRig {
   EntryRef read, write;
   Gate ordered, release;
   std::atomic<int> arm_calls{0}, reads_entered{0}, writes_entered{0};
-  std::atomic<int> reads_active{0}, writes_active{0};
+  std::atomic<int> reads_active{0}, writes_active{0}, passes{0};
   std::atomic<bool> overlap_violated{false};
   std::mutex mu;
   std::map<std::int64_t, std::thread::id> body_thread;  // by tag
@@ -1165,12 +1225,15 @@ struct OrderRig {
           .on(accept_guard(read).compatible().then([&](Accepted a) {
             ++arm_calls;
             m.start_compatible(a);
-            m.start_compatible_pending(read);
           }))
           .on(accept_guard(write).compatible().then([&](Accepted a) {
             ++arm_calls;
             m.start_compatible(a);
           }))
+          .on(when_guard([this] {
+                ++passes;
+                return false;
+              }).then([] {}))
           .loop(m);
     });
   }
@@ -1304,6 +1367,31 @@ TEST(KernelAdmission, EpiloguesAdmitOldestFirstAndNothingOvertakes) {
       << "R2 started beside W2";
   EXPECT_EQ(rig.arm_calls.load(), 0);
   EXPECT_FALSE(rig.overlap_violated.load());
+}
+
+TEST(KernelAdmission, OverflowWritesTheKernelTakesNeverWakeTheManager) {
+  OrderRig rig;
+  rig.start();
+  std::thread writer = rig.hold_write();
+  // Write has two slots: the held write fills one and W1 the other, so W2
+  // and W3 overflow. Each freed slot re-attaches one of them, and each is
+  // admitted by an epilogue, so the manager has nothing to do.
+  std::vector<CallHandle> writes;
+  for (int i = 1; i <= 3; ++i) {
+    writes.push_back(rig.obj.async_call(rig.write, vals(i)));
+  }
+  EXPECT_EQ(rig.obj.pending(rig.write), 3u);
+  ASSERT_TRUE(eventually([&] { return rig.passes.load() > 0; }));
+  std::this_thread::sleep_for(20ms);  // the manager sleeps after its pass
+  const int before = rig.passes.load();
+  rig.release.open();
+  writer.join();
+  for (const CallHandle& h : writes) CallHandle(h).get();
+  std::this_thread::sleep_for(50ms);  // room for a woken manager's pass
+  EXPECT_EQ(rig.passes.load(), before) << "an epilogue woke the manager";
+  EXPECT_EQ(rig.arm_calls.load(), 0);
+  EXPECT_EQ(rig.obj.pending(rig.write), 0u);
+  rig.obj.stop();
 }
 
 TEST(KernelAdmission, GuardedOldestCallStopsTheLoopAndTheManagerServesIt) {
